@@ -151,7 +151,6 @@ def run_epochs(kernel: Kernel, starts, rng, stop_on_zero=False,
     cause = np.zeros(N, dtype=np.int8)
     t0 = np.full(N, np.nan)
     hit = np.zeros(N, dtype=bool)
-    min_idx = st.copy()
     field_t0 = np.zeros((N, n)) if snapshot_t0 else None
     if zero is not None and not stop_on_zero:
         at0 = st == zero
@@ -193,10 +192,8 @@ def run_epochs(kernel: Kernel, starts, rng, stop_on_zero=False,
                 if snapshot_t0:
                     field_t0[fresh] = field[fresh]
         st[ji] = tg
-        np.minimum.at(min_idx, ji, tg)
     out = {
         "field": field, "zeta": zeta, "cause": cause, "t0": t0, "hit": hit,
-        "min_index": min_idx,
     }
     if zero is not None:
         out["l0_total"] = field[:, zero].copy()

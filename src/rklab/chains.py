@@ -193,6 +193,12 @@ class HittingProfile:
     def value(self, x) -> float:
         return float(self.h[self.index[x]])
 
+    def restrict(self, keep) -> HittingProfile:
+        """The profile on the states at table indices ``keep``, in order."""
+        states = tuple(self.states[i] for i in keep)
+        return HittingProfile(h=self.h[keep], u00=self.u00, states=states,
+                              index={x: k for k, x in enumerate(states)})
+
 
 def build_chain(spec: ChainSpec, coords=None) -> SymmetricChain:
     """Assemble the dense generator and re-verify detailed balance on it."""

@@ -8,6 +8,7 @@ config; the worker count never changes the numbers in a report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -20,7 +21,13 @@ from .chains import (
     potential_matrix,
     rebirthed_potential,
 )
-from .config import SWEEP_HARNESSES, ExperimentConfig, load_config
+from .config import (
+    SWEEP_HARNESSES,
+    ExperimentConfig,
+    check_seed,
+    check_workers,
+    load_config,
+)
 from .errors import RKLabError
 from .harnesses import REGISTRY
 from .reporting import (
@@ -85,17 +92,19 @@ def execute(cfg: ExperimentConfig) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """The config with the command-line overrides, validated like a file."""
+    changes = {}
     if args.seed is not None:
-        cfg.seed = args.seed
+        changes["seed"] = args.seed
     if getattr(args, "replicates", None):
-        cfg.plan["replicates"] = args.replicates
+        changes["plan"] = dict(cfg.plan, replicates=args.replicates)
     if args.workers is not None:
-        cfg.workers = args.workers
+        changes["workers"] = args.workers
     if getattr(args, "no_figures", False):
-        cfg.figures = False
+        changes["figures"] = False
     if getattr(args, "output", None):
-        cfg.output = args.output
-    return cfg
+        changes["output"] = args.output
+    return dataclasses.replace(cfg, **changes)
 
 
 def cmd_run(args) -> int:
@@ -157,6 +166,10 @@ def _self_test_configs():
 def cmd_self_test(args) -> int:
     from . import selftest
 
+    if args.seed is not None:
+        check_seed(args.seed)
+    if args.workers is not None:
+        check_workers(args.workers)
     return selftest.run(workers=args.workers or 1, seed=args.seed)
 
 

@@ -8,7 +8,8 @@ same ones the test suite drives directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import yaml
 
@@ -35,8 +36,33 @@ _PLAN_KEYS = {"r", "s", "p", "t", "replicates", "test_points",
               "stop", "level", "phi_kind", "phi_scale", "defect", "z_max"}
 
 
+def check_seed(seed: int) -> None:
+    """Random streams are seeded from nonnegative integers only."""
+    if seed < 0:
+        raise InvariantError(f"seed must be >= 0, got {seed}")
+
+
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise InvariantError(f"workers must be >= 1, got {workers}")
+
+
+def check_z_max(z_max) -> None:
+    """A verdict threshold that some |z| can pass and some can fail."""
+    try:
+        value = float(z_max)
+    except (TypeError, ValueError):
+        raise SchemaError(f"plan.z_max: expected a number, got {z_max!r}") \
+            from None
+    if not math.isfinite(value) or value <= 0:
+        raise InvariantError(f"plan.z_max must be finite and > 0, got {value}")
+
+
 @dataclass
 class ExperimentConfig:
+    """One validated run; overrides go through dataclasses.replace so the
+    same checks apply to them."""
+
     harness: str
     chain: SymmetricChain
     mu: RebirthMeasure | None
@@ -46,6 +72,12 @@ class ExperimentConfig:
     output: str | None
     workers: int = 1
     figures: bool = True
+
+    def __post_init__(self):
+        check_seed(self.seed)
+        check_workers(self.workers)
+        if "z_max" in self.plan:
+            check_z_max(self.plan["z_max"])
 
     def test_plan(self) -> TestPlan:
         p = self.plan

@@ -1,9 +1,15 @@
 """Gaussian fields and composite squared fields for the isomorphism checks.
 
-Covariances coming out of :mod:`rklab.chains` are factored once (pivoted
-Cholesky, so rank-deficient kernels like the killed-at-zero one keep an exact
-zero at state 0) and then sampled in bulk.  The composite samplers build the
-Gaussian side of the hitting-time and inverse-local-time identities:
+The harnesses read a Gaussian field only on a small readout set S of states
+(the test points, the start state and the support of the rebirth measure),
+and the marginal of a centred Gaussian vector on S is exactly N(0, C[S, S]).
+So a covariance coming out of :mod:`rklab.chains` is checked for positive
+semi-definiteness on the whole table, then factored on the block C[S, S]
+only (pivoted Cholesky, so rank-deficient kernels like the killed-at-zero
+one keep an exact zero at state 0), and fields are drawn |S| wide.  With S
+every state, the default, this is the full field.  The composite samplers
+build the Gaussian side of the hitting-time and inverse-local-time
+identities on whatever columns the factor carries:
 
 * sum of squared shifted fields, with a signed tilt weight
   (1 + eta_1(y)/s) * prod (1 + eta_i(mu)/s) of mean one, and
@@ -28,12 +34,17 @@ RECONSTRUCT_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class FieldFactor:
-    """Low-rank root of a covariance; root @ root.T reproduces it."""
+    """Low-rank root of a covariance block.
+
+    ``keep`` lists the table indices the root's rows stand for, in order;
+    root @ root.T reproduces table[keep][:, keep].
+    """
 
     covariance: PotentialMatrix
     root: np.ndarray
     rank: int
     jitter_used: float
+    keep: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -86,36 +97,48 @@ def _pivoted_cholesky(C: np.ndarray, tol: float):
 
 
 def factor_covariance(
-    cov: PotentialMatrix, policy: str = "pivoted", pivot_tol: float = 1e-10
+    cov: PotentialMatrix, policy: str = "pivoted", pivot_tol: float = 1e-10,
+    keep=None,
 ) -> FieldFactor:
-    """Build a sampling root for a PSD kernel table.
+    """Build a sampling root for a PSD kernel table, on the states ``keep``.
 
-    ``strict`` fails on any rank deficiency; ``pivoted`` zeroes directions
-    whose pivot is below ``pivot_tol * trace`` and records the rank.
+    The positive semi-definiteness check covers the whole symmetrised table,
+    so a non-PSD kernel raises :class:`NotPSD` whatever ``keep`` is.  Only
+    the block on ``keep`` (table indices, sorted; ``None`` means every state)
+    is factored, and fields drawn from the root are the exact marginal of
+    the full field on those states.  ``strict`` fails on any rank deficiency
+    of the block; ``pivoted`` zeroes directions whose pivot is below
+    ``pivot_tol`` times the block's trace and records the rank.  The root
+    must reproduce the block to ``RECONSTRUCT_ATOL``.
     """
     C = 0.5 * (cov.table + cov.table.T)
     trace = float(np.trace(C))
     eigs = np.linalg.eigvalsh(C)
     if eigs.min() < -1e-8 * max(trace, 1.0):
         raise NotPSD(f"min eigenvalue {eigs.min():.3e} for trace {trace:.3e}")
+    keep = np.arange(C.shape[0]) if keep is None \
+        else np.asarray(keep, dtype=np.int64)
+    B = C[np.ix_(keep, keep)]
     if policy == "strict":
         try:
-            root = np.linalg.cholesky(C)
+            root = np.linalg.cholesky(B)
         except np.linalg.LinAlgError as exc:
             raise StrictRankDeficient(str(exc)) from exc
-        rank = C.shape[0]
+        rank = B.shape[0]
     elif policy == "pivoted":
-        root, rank = _pivoted_cholesky(C, pivot_tol * max(trace, 1.0))
+        block_trace = float(np.trace(B))
+        root, rank = _pivoted_cholesky(B, pivot_tol * max(block_trace, 1.0))
     else:
         raise ValueError(f"unknown factorisation policy {policy!r}")
-    err = np.abs(root @ root.T - C).max()
+    err = np.abs(root @ root.T - B).max()
     if err > RECONSTRUCT_ATOL:
         raise NotPSD(f"factor reconstruction error {err:.3e}")
-    return FieldFactor(covariance=cov, root=root, rank=rank, jitter_used=0.0)
+    return FieldFactor(covariance=cov, root=root, rank=rank, jitter_used=0.0,
+                       keep=keep)
 
 
 def sample_block(factor: FieldFactor, size: int, rng) -> np.ndarray:
-    """size x dim matrix of centred Gaussian field draws."""
+    """size x dim matrix of centred Gaussian field draws on factor.keep."""
     z = rng.standard_normal((size, factor.rank))
     return z @ factor.root.T
 
@@ -142,10 +165,11 @@ def first_rk_composite_block(
     """Vectorised first-kind composites.
 
     Returns (fields, weights, eta_tilde) where fields[k] is
-    sum_{i<r} (eta_i + s)^2/2 + (eta~ + s)^2/2 over the whole state space and
+    sum_{i<r} (eta_i + s)^2/2 + (eta~ + s)^2/2 on the factors' states and
     weights[k] the signed tilt.  For r = 1 the single tilt factor is taken at
     the start state y, matching the one-epoch identity; for r >= 2 the factor
-    on eta~ integrates against mu.
+    on eta~ integrates against mu.  ``y_index`` and ``mu_vec`` refer to the
+    factors' states, which must include y and the support of mu.
     """
     if r < 1:
         raise ValueError("epoch count r must be >= 1")
@@ -193,7 +217,9 @@ def second_rk_composites_block(
     Returns (g_hat, g_bar, weights, rho, eta2).  g_hat ends in a plain
     squared field; g_bar replaces that square by
     (eta2 + h sqrt(2 (t ^ rho)))^2 / 2 with the same eta2 draw, so at t = 0
-    the two composites agree sample by sample.
+    the two composites agree sample by sample.  ``profile.h``, ``y_index``
+    and ``mu_vec`` refer to the factors' states, as in
+    :func:`first_rk_composite_block`.
     """
     if r < 1:
         raise ValueError("epoch count r must be >= 1")

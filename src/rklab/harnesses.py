@@ -279,11 +279,36 @@ def _mu_vec(plan):
     return plan.mu.vector(plan.chain)
 
 
+def _readout(plan):
+    """Sorted state indices the Gaussian side is read at.
+
+    That is the test points, the start state (first tilt factor) and the
+    support of mu (the tilt through <eta, mu>).  Fields are sampled on these
+    states only, as the exact marginal of the full field.
+    """
+    keep = set(plan.tp_cols.tolist())
+    keep.add(plan.chain.state_index(plan.start))
+    if plan.mu is not None:
+        keep.update(np.flatnonzero(_mu_vec(plan)).tolist())
+    return np.array(sorted(keep), dtype=np.int64)
+
+
+def _on_readout(plan, keep):
+    """Test-point positions and the start position within the readout set
+    ``keep``, and mu restricted to it."""
+    pos = np.searchsorted(keep, plan.tp_cols)
+    y_pos = int(np.searchsorted(keep, plan.chain.state_index(plan.start)))
+    mu_vec = _mu_vec(plan)[keep] if plan.mu is not None \
+        else np.zeros(keep.size)
+    return pos, y_pos, mu_vec
+
+
 def _factors(plan):
+    keep = _readout(plan)
     u0 = potential_matrix(plan.chain, 0.0)
     ut = killed_at_zero_potential(u0)
-    u0f = factor_covariance(u0)
-    utf = factor_covariance(ut)
+    u0f = factor_covariance(u0, keep=keep)
+    utf = factor_covariance(ut, keep=keep)
     if plan.defect == "wrong-cov":
         utf = u0f
     return u0, ut, u0f, utf
@@ -400,7 +425,8 @@ def run_eisenbaum(plan: TestPlan) -> ComparisonReport:
         raise InvariantError("eisenbaum harness needs s != 0")
     chain = plan.chain
     u0 = potential_matrix(chain, 0.0)
-    u0f = factor_covariance(u0)
+    u0f = factor_covariance(u0, keep=_readout(plan))
+    pos, y_pos, _ = _on_readout(plan, u0f.keep)
     y = chain.state_index(plan.start)
     cols = plan.tp_cols
     metadata = {"defect": plan.defect}
@@ -411,10 +437,12 @@ def run_eisenbaum(plan: TestPlan) -> ComparisonReport:
     kernel = make_kernel(chain)
     eps = _ensemble(plan, "eisenbaum", 1, _blk_full_epochs,
                     kernel, ("fixed", y), False)
-    gl = _ensemble(plan, "eisenbaum", 2, _blk_gauss_shift_sq, u0f, plan.s, y)
-    lhs = eps["field"][:, cols] + gl["vals"][:, cols]
-    gr = _ensemble(plan, "eisenbaum", 3, _blk_gauss_shift_sq, u0f, plan.s, y)
-    rhs = gr["vals"][:, cols]
+    gl = _ensemble(plan, "eisenbaum", 2, _blk_gauss_shift_sq, u0f, plan.s,
+                   y_pos)
+    lhs = eps["field"][:, cols] + gl["vals"][:, pos]
+    gr = _ensemble(plan, "eisenbaum", 3, _blk_gauss_shift_sq, u0f, plan.s,
+                   y_pos)
+    rhs = gr["vals"][:, pos]
     weights = np.ones(rhs.shape[0]) if plan.defect == "unit-weights" \
         else gr["tilt"]
     return compare_fields(
@@ -461,17 +489,16 @@ def run_first_rk(plan: TestPlan) -> ComparisonReport:
         _check_analytic(markov, gauss, metadata)
     kernel = make_kernel(chain)
     mu_pack = mu_tables(chain, plan.mu) if plan.mu is not None else None
-    y = chain.state_index(plan.start)
-    mu_vec = _mu_vec(plan) if plan.mu is not None else np.zeros(chain.n_states)
+    pos, y_pos, mu_vec = _on_readout(plan, u0f.keep)
 
     markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack)
     gl = _ensemble(plan, "first-rk", 60, _blk_gauss_first,
-                   plan.r, plan.s, u0f, utf, y, mu_vec)
+                   plan.r, plan.s, u0f, utf, y_pos, mu_vec)
     cols = plan.tp_cols
-    lhs = markov_fields[:, cols] + gl["field"][:, cols]
+    lhs = markov_fields[:, cols] + gl["field"][:, pos]
     gr = _ensemble(plan, "first-rk", 61, _blk_gauss_first,
-                   plan.r, plan.s, u0f, utf, y, mu_vec)
-    rhs = gr["field"][:, cols]
+                   plan.r, plan.s, u0f, utf, y_pos, mu_vec)
+    rhs = gr["field"][:, pos]
     weights = np.ones(rhs.shape[0]) if plan.defect == "unit-weights" \
         else gr["weight"]
     return compare_fields(
@@ -613,19 +640,19 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
         _check_analytic(markov, gauss, metadata)
     kernel = make_kernel(chain)
     mu_pack = mu_tables(chain, plan.mu) if plan.mu is not None else None
-    y = chain.state_index(plan.start)
     zero = chain.zero_index
     cols = plan.tp_cols
-    mu_vec = _mu_vec(plan) if plan.mu is not None else np.zeros(chain.n_states)
+    pos, y_pos, mu_vec = _on_readout(plan, u0f.keep)
+    profile_s = profile.restrict(u0f.keep)
 
     # standalone: life from 0 run to the inverse time, plus a plain square,
     # against the bumped square (both sides unweighted)
     tau_ep = _ensemble(plan, "second-rk", 1, _blk_levelstop,
                        kernel, ("fixed", zero), ("fixed", plan.t), "strict")
     sq = _ensemble(plan, "second-rk", 2, _blk_gauss_square, utf)
-    lhs_sa = tau_ep["field"][:, cols] + sq["vals"][:, cols]
+    lhs_sa = tau_ep["field"][:, cols] + sq["vals"][:, pos]
     rhs_sa = _ensemble(plan, "second-rk", 3, _blk_gauss_standalone_rhs,
-                       utf, profile, plan.t)["vals"][:, cols]
+                       utf, profile_s, plan.t)["vals"][:, pos]
     rows = compare_sides(
         side_estimates(lhs_sa, plan.point_labels, plan.laplace_probes,
                        moment_orders=plan.moment_orders),
@@ -642,12 +669,12 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
     tau_ep2 = _ensemble(plan, "second-rk", 4, _blk_levelstop,
                         kernel, ("fixed", zero), ("fixed", plan.t), "strict")
     gl = _ensemble(plan, "second-rk", 60, _blk_gauss_second,
-                   plan.r, plan.s, plan.t, profile, u0f, utf, y, mu_vec)
+                   plan.r, plan.s, plan.t, profile_s, u0f, utf, y_pos, mu_vec)
     lhs = markov_fields[:, cols] + tau_ep2["field"][:, cols] \
-        + gl["g_hat"][:, cols]
+        + gl["g_hat"][:, pos]
     gr = _ensemble(plan, "second-rk", 61, _blk_gauss_second,
-                   plan.r, plan.s, plan.t, profile, u0f, utf, y, mu_vec)
-    rhs = gr["g_bar"][:, cols]
+                   plan.r, plan.s, plan.t, profile_s, u0f, utf, y_pos, mu_vec)
+    rhs = gr["g_bar"][:, pos]
     weights = np.ones(rhs.shape[0]) if plan.defect == "unit-weights" \
         else gr["weight"]
     combined = compare_fields(

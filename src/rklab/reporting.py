@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 
 from .diagnostics import SweepResult
-from .stats import ComparisonReport
+from .stats import ComparisonReport, strict_json
 
 log = logging.getLogger("rklab")
 
@@ -67,10 +67,8 @@ def write_report_json(report, path):
 
 
 def write_sweep_json(sweep: SweepResult, path):
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(sweep.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(strict_json(sweep.to_dict()))
 
 
 def write_sweep_csv(sweep: SweepResult, path):

@@ -71,7 +71,27 @@ class ComparisonReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return strict_json(self.to_dict())
+
+
+def _json_safe(obj):
+    """obj with every non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return obj
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def strict_json(obj) -> str:
+    """Sorted, indented JSON that strict parsers accept (no bare Infinity
+    or NaN); non-finite floats are written as strings."""
+    return json.dumps(_json_safe(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def zscore(diff: float, se: float) -> float:

@@ -154,3 +154,26 @@ seed: 11
     assert (tmp_path / "lil.csv").exists()
     assert (tmp_path / "lil_ratio.png").exists()
     read_png(tmp_path / "lil_ratio.png")
+
+
+@pytest.mark.parametrize("edit,extra", [
+    (None, ["--seed", "-3"]),
+    ("seed: 4242\nworkers: -2", []),
+    (None, ["--workers", "-2"]),
+    ("  s: 1.0\n  z_max: -1", []),
+    ("  s: 1.0\n  z_max: 0", []),
+    ("  s: 1.0\n  z_max: .inf", []),
+    ("seed: -3", []),
+], ids=["cli-seed", "yaml-workers", "cli-workers", "z-max-negative",
+        "z-max-zero", "z-max-inf", "yaml-seed"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, edit, extra):
+    text = SMALL_EISENBAUM
+    if edit is not None:
+        anchor = "seed: 4242" if edit.startswith("seed") else "  s: 1.0"
+        text = text.replace(anchor, edit)
+    cfg_path = tmp_path / "e.yaml"
+    cfg_path.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg_path), "--no-figures"] + extra) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

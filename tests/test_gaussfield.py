@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rklab.chains import (
+    ChainSpec,
     Kind,
     PotentialMatrix,
     RebirthMeasure,
+    birth_death_chain,
+    build_chain,
     hitting_profile,
     killed_at_zero_potential,
     potential_matrix,
@@ -14,6 +19,7 @@ from rklab.chains import (
 )
 from rklab.errors import NotPSD, StrictRankDeficient, ZeroShift
 from rklab.gaussfield import (
+    _pivoted_cholesky,
     cross_term_expand,
     factor_covariance,
     first_rk_composite,
@@ -22,6 +28,7 @@ from rklab.gaussfield import (
     sample_field,
     second_rk_composites_block,
 )
+from rklab.harnesses import REGISTRY, TestPlan, _readout
 
 
 def _pot(table, states=None):
@@ -175,3 +182,105 @@ def test_cross_term_expand(ref_chain, rng):
                              states=profile.states, index=profile.index)
     out_flat = cross_term_expand(eta2, flat, t_rho, d)
     assert np.all(out_flat["middle"] == 0.0)
+
+
+# readout-set factors: the exact marginal of the field on a few states ------
+
+def test_readout_factor_reproduces_block():
+    u0 = potential_matrix(birth_death_chain(64, 64.0), 0.0)
+    keep = np.array([3, 10, 11, 40])
+    for table in (u0, killed_at_zero_potential(u0)):
+        f = factor_covariance(table, keep=keep)
+        assert f.dim == keep.size and np.array_equal(f.keep, keep)
+        block = table.table[np.ix_(keep, keep)]
+        assert np.abs(f.root @ f.root.T - block).max() < 1e-10
+
+
+def test_readout_zero_row_exact():
+    ut = killed_at_zero_potential(potential_matrix(birth_death_chain(64, 64.0),
+                                                   0.0))
+    keep = np.array([0, 5, 33])
+    f = factor_covariance(ut, keep=keep)
+    assert f.rank == 2
+    assert np.all(f.root[0] == 0.0)
+    samples = sample_block(f, 1000, np.random.default_rng(3))
+    assert np.all(samples[:, 0] == 0.0)
+
+
+def test_not_psd_outside_readout():
+    bad = np.zeros((4, 4))
+    bad[:2, :2] = np.eye(2)                        # fine on the readout set
+    bad[2:, 2:] = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1 off it
+    with pytest.raises(NotPSD):
+        factor_covariance(_pot(bad), keep=[0, 1])
+
+
+def test_readout_all_states_matches_full_factor(ref_chain):
+    u0 = potential_matrix(birth_death_chain(16, 16.0), 0.0)
+    for table in (u0, killed_at_zero_potential(u0),
+                  killed_at_zero_potential(potential_matrix(ref_chain, 0.0))):
+        C = 0.5 * (table.table + table.table.T)
+        full, _ = _pivoted_cholesky(C, 1e-10 * max(float(np.trace(C)), 1.0))
+        everywhere = np.arange(C.shape[0])
+        for keep in (None, everywhere):
+            f = factor_covariance(table, keep=keep)
+            assert np.array_equal(f.root, full)
+            a = sample_block(f, 257, np.random.default_rng(5))
+            b = np.random.default_rng(5).standard_normal((257, f.rank)) \
+                @ full.T
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("harness,kw,defect", [
+    ("first-rk", {"r": 2, "s": 1.0}, "wrong-cov"),
+    ("second-rk", {"r": 2, "s": 1.0, "t": 0.5}, "wrong-cov"),
+    ("eisenbaum", {"s": 1.0}, "unit-weights"),
+])
+def test_grid_readout_keeps_power(harness, kw, defect):
+    """Fields read on 5 of 33 states: the clean run passes, a defect fails."""
+    chain = birth_death_chain(32, 32.0)
+
+    def run(defect):
+        plan = TestPlan(chain=chain, mu=RebirthMeasure(weights={2: 1.0}),
+                        start=4, replicates=10_000, seed=17,
+                        test_points=(1, 3, 10), defect=defect, **kw)
+        assert _readout(plan).tolist() == [1, 2, 3, 4, 10]
+        return REGISTRY[harness](plan)
+
+    assert run(None).verdict
+    assert not run(defect).verdict
+
+
+@st.composite
+def _path_chain_and_readout(draw):
+    """A detailed-balance path chain with 0 inside, and a readout set."""
+    n = draw(st.integers(2, 7))
+    zero_pos = draw(st.integers(0, n - 1))
+    labels = tuple(range(-zero_pos, n - zero_pos))
+    positive = st.floats(0.1, 10.0)
+    m = {x: draw(positive) for x in labels}
+    rates = {}
+    for a, b in zip(labels[:-1], labels[1:]):
+        c = draw(positive)  # edge conductance m(a) q(a,b) = m(b) q(b,a)
+        rates[(a, b)] = c / m[a]
+        rates[(b, a)] = c / m[b]
+    chain = build_chain(ChainSpec(states=labels, rates=rates, measure=m,
+                                  kill_rate=draw(st.floats(0.1, 5.0))))
+    keep = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return chain, np.array(keep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_path_chain_and_readout())
+def test_readout_factor_property(case):
+    chain, keep = case
+    u0 = potential_matrix(chain, 0.0)
+    z = chain.zero_index
+    for table in (u0, killed_at_zero_potential(u0)):
+        f = factor_covariance(table, keep=keep)
+        block = table.table[np.ix_(keep, keep)]
+        scale = max(1.0, float(np.abs(block).max()))
+        assert np.abs(f.root @ f.root.T - block).max() <= 1e-9 * scale
+        if table is not u0 and z in keep:
+            assert np.all(f.root[keep.tolist().index(z)] == 0.0)
+            assert f.rank == keep.size - 1

@@ -1,11 +1,14 @@
 """Comparison machinery: estimators, standard errors, verdicts, ESS."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from rklab.diagnostics import SweepResult
 from rklab.errors import DegenerateESS
+from rklab.reporting import write_sweep_json
 from rklab.stats import (
     ComparisonReport,
     StatRow,
@@ -120,3 +123,34 @@ def test_default_probes():
     probes = default_probes(3)
     assert len(probes) == 3
     assert all(len(nu) == 3 and min(nu) >= 0 for nu in probes)
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_are_strict_json(tmp_path):
+    inf_z = zscore(3.0, 0.0)  # a count row with a violation and no spread
+    assert inf_z == math.inf
+    rep = ComparisonReport(
+        test_id="demo",
+        rows=[StatRow("violations", 3.0, 0.0, 0.0, inf_z),
+              StatRow("a", 1.0, 1.0, 0.1, -math.inf),
+              StatRow("b", math.nan, 1.0, 0.1, 0.5)],
+        seed=7, n_lhs=10, n_rhs=10, metadata={"gap": [math.inf, 1.5]},
+    )
+    back = _strict_loads(rep.to_json())
+    assert [r["z"] for r in back["rows"]] == ["inf", "-inf", 0.5]
+    assert back["rows"][2]["lhs"] == "nan"
+    assert back["metadata"]["gap"] == ["inf", 1.5]
+    assert back["verdict"] == "fail"
+
+    sweep = SweepResult("lil", (0.5, 0.25), (1.0, 1.1), 1.0, 16, 3,
+                        metadata={"spread": math.nan})
+    write_sweep_json(sweep, tmp_path / "s.json")
+    back = _strict_loads((tmp_path / "s.json").read_text())
+    assert back["metadata"]["spread"] == "nan"
+    assert back["ratios"] == [1.0, 1.1]
