@@ -1,10 +1,62 @@
 """Vectorised lockstep simulation used by the statistical harnesses.
 
-All replicates of a block advance one jump event per round; every random
-draw is an array draw from the block's own generator, so results depend only
-on (seed, tag, block index) and never on the worker count.  Blocks have a
-fixed size and are merged in index order, which makes reports byte-identical
-across reruns and worker counts.
+Every Markov-side ensemble is one call of :func:`simulate`: each lane runs
+the chain from its start and, when a ``rebirth`` table is given, is reborn
+at a mu-distributed state each time it dies.  All lanes of a block advance
+one jump event per round; every random draw is an array draw from the
+block's own generator, so results depend only on (seed, tag, block index)
+and never on the worker count.  Blocks have a fixed size and are merged in
+index order, which makes reports byte-identical across reruns and worker
+counts.
+
+Stop policies (``stop``); a lane that stops has ``stopped`` set:
+
+* ``death``   the lane runs until it dies (without rebirth; with rebirth
+  only ``r_max`` ends it);
+* ``zero``    the lane stops the instant it jumps into 0, with no
+  occupation there;
+* ``absorb``  the lane stops at its first absorption death (a jump into 0
+  from outside the space); other deaths rebirth or end the lane;
+* ``left``    the lane stops when its zero local time reaches its level
+  (left inverse, ``>=``), splitting the hold at 0 exactly;
+* ``right``   the same with ``>`` (right inverse); exact ties between a
+  level and an end-of-visit value are counted in ``ties``;
+* ``horizon`` the lane stops at the end of the first hold that reaches
+  ``horizon``.
+
+A death is any outcome that leaves the space: a kill or an absorption.
+With ``r_max`` a lane whose r_max-th life dies is abandoned: it ends with
+``stop_epoch`` 0.
+
+Record kinds (``record``):
+
+* ``total``    ``field`` (N, n): the local-time field over the whole run;
+  at a level crossing the zero entry is assigned the level exactly;
+* ``epochs``   ``fields`` (N, r_max, n), one field per life, and
+  ``bounds`` (N, r_max), the time at which each life died; a crossing adds
+  level - l0 to the zero entry of the stopping life;
+* ``discount`` ``V`` (N, len(cols)), the integrals of exp(-p s) dL^y_s up
+  to ``horizon`` at the states ``cols``, and ``rowsum``, the m-weighted
+  integral over every state (expectation (1 - e^{-p T})/p).
+
+Every run returns ``t`` (the elapsed time when the lane ended), ``stopped``
+and ``state`` (the state it ended in); runs with a rebirth table and
+``r_max`` also return ``epochs`` (lives used) and ``stop_epoch``; level
+stops return ``l0``, per-epoch level stops ``ep_t0`` (first hit of 0 in
+each life, from the life's start).
+
+Each round, for the lanes alive at its start:
+
+1. draw one standard exponential hold per lane;
+2. stop the lanes whose zero local time crosses their level in the hold;
+3. accumulate the (rest of the) hold into the record;
+4. draw one uniform per lane, crossed lanes included, and pick the outcome;
+5. handle deaths: stop, abandon, or rebirth with one uniform per reborn
+   lane (``rng.random(#reborn)``);
+6. handle jumps: an entry into 0 stops the lane or records its first hit;
+7. stop the lanes that reached the horizon.
+
+Only steps 1, 4 and 5 draw.  Reports at a fixed seed depend on this order.
 
 The scalar engine in :mod:`rklab.pathsim` is the readable reference; this
 module must agree with it in law (tested) and on exact path identities.
@@ -23,12 +75,6 @@ BLOCK_SIZE = 8192
 
 KILL = -1
 ABSORB = -2
-
-# death causes / trace outcomes
-EXP_DEATH = 0
-ABSORB_DEATH = 1
-ZERO_STOP = 2
-NOT_STOPPED = 0  # stop_epoch sentinel for abandoned traces
 
 
 @dataclass(frozen=True)
@@ -127,484 +173,190 @@ def map_blocks(payloads, workers: int = 1):
         return list(ex.map(_call, payloads))
 
 
-# epoch runners -------------------------------------------------------------
+# lockstep engine -------------------------------------------------------------
 
-def run_epochs(kernel: Kernel, starts, rng, stop_on_zero=False,
-               snapshot_t0=False):
-    """Simulate one life per lane.
+STOPS = ("death", "zero", "absorb", "left", "right", "horizon")
+RECORDS = ("total", "epochs", "discount")
 
-    ``stop_on_zero`` freezes a lane the instant it jumps into the zero state
-    (field at the hitting time, no occupation there), realising the life of
-    the chain killed at 0.  Otherwise lanes run to their death; on
-    zero-accessible chains the first entry into 0 is recorded and optionally
-    the field is snapshotted there.
+
+def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
+             rebirth=None, r_max=None, levels=None, clamp="strict",
+             horizon=None, p=None, cols=None, track_min=False):
+    """Run one lane per entry of ``starts`` until its stop; see the module
+    docstring for the policies, the outputs and the draw order.
+
+    ``rebirth`` is the (state indices, cumulative weights) pair of
+    :func:`mu_tables`; without it a death ends the lane.  ``r_max`` abandons
+    a lane whose r_max-th life dies.  ``levels`` are the zero local times of
+    the level stops; ``clamp`` picks what a single life that dies before its
+    left level keeps (``strict``: the field at the end of its last visit to
+    0; ``total``: the whole life).  ``horizon``, ``p`` and ``cols`` are the
+    horizon, the discount rate and the tracked states of the ``discount``
+    record; ``track_min`` adds the lowest state index each life visited to
+    the ``epochs`` record of the ``zero`` stop.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    N = starts.shape[0]
+    if stop not in STOPS or record not in RECORDS:
+        raise ValueError(f"unknown stop {stop!r} or record {record!r}")
+    st = np.array(starts, dtype=np.int64)
+    N = st.shape[0]
     n = kernel.n
     zero = kernel.zero
-    st = starts.copy()
+    m = kernel.m
+    per_epoch = record == "epochs"
+    counted = rebirth is not None and r_max is not None
+    if (per_epoch or track_min) and not counted:
+        raise ValueError("per-life records need a rebirth table and r_max")
+    level_stop = stop in ("left", "right")
     alive = np.ones(N, dtype=bool)
-    field = np.zeros((N, n))
+    stopped = np.zeros(N, dtype=bool)
     t = np.zeros(N)
-    zeta = np.zeros(N)
-    cause = np.zeros(N, dtype=np.int8)
-    t0 = np.full(N, np.nan)
-    hit = np.zeros(N, dtype=bool)
-    field_t0 = np.zeros((N, n)) if snapshot_t0 else None
-    if zero is not None and not stop_on_zero:
-        at0 = st == zero
-        t0[at0] = 0.0
-        hit[at0] = True
+    if counted:
+        ep = np.ones(N, dtype=np.int64)
+    if per_epoch:
+        fields = np.zeros((N, r_max, n))
+        bounds = np.full((N, r_max), np.nan)
+    elif record == "total":
+        field = np.zeros((N, n))
+    else:
+        col_of = np.full(n, -1, dtype=np.int64)
+        col_of[np.asarray(cols)] = np.arange(len(cols))
+        V = np.zeros((N, len(cols)))
+        rowsum = np.zeros(N)
+    snap = ep_t0 = low = None
+    if level_stop:
+        if zero is None:
+            raise ValueError("level stop needs the zero state in the space")
+        m0 = m[zero]
+        levels = np.broadcast_to(np.asarray(levels, dtype=float), (N,)).copy()
+        l0 = np.zeros(N)
+        ties = 0
+        if record == "total" and rebirth is None and clamp == "strict":
+            snap = np.zeros((N, n))  # field at the end of the last 0-visit
+        if per_epoch:
+            ep_t0 = np.full((N, r_max), np.nan)  # first 0-hit in each life
+            ep_t0[st == zero, 0] = 0.0
+            ep_start = np.zeros(N)
+    if track_min:
+        low = np.full((N, r_max), -1, dtype=np.int64)
+        low[:, 0] = st
+
     while alive.any():
         idx = np.nonzero(alive)[0]
+        n_round = idx.size
         s = st[idx]
-        d = rng.standard_exponential(idx.size) / kernel.total_rate[s]
-        field[idx, s] += d / kernel.m[s]
-        t[idx] += d
-        u = rng.random(idx.size)
-        nxt = _draw_next(kernel, s, u)
-        dead = nxt < 0
-        di = idx[dead]
-        zeta[di] = t[di]
-        cause[di] = np.where(nxt[dead] == ABSORB, ABSORB_DEATH, EXP_DEATH)
-        ai = di[nxt[dead] == ABSORB]
-        t0[ai] = t[ai]  # left-limit hit of 0 coincides with the lifetime
-        hit[ai] = True
-        alive[di] = False
-        ji = idx[~dead]
-        tg = nxt[~dead]
-        if zero is not None:
-            entering = tg == zero
-            ei = ji[entering]
-            if stop_on_zero:
-                t0[ei] = t[ei]
-                zeta[ei] = t[ei]
-                cause[ei] = ZERO_STOP
-                hit[ei] = True
-                alive[ei] = False
-                ji = ji[~entering]
-                tg = tg[~entering]
-            else:
-                fresh = ei[~hit[ei]]
-                t0[fresh] = t[fresh]
-                hit[fresh] = True
-                if snapshot_t0:
-                    field_t0[fresh] = field[fresh]
-        st[ji] = tg
-    out = {
-        "field": field, "zeta": zeta, "cause": cause, "t0": t0, "hit": hit,
-    }
-    if zero is not None:
-        out["l0_total"] = field[:, zero].copy()
-    if snapshot_t0:
-        # lanes starting at 0 or never hitting keep a zero snapshot
-        field_t0[~hit] = 0.0
-        out["field_t0"] = field_t0
-    return out
-
-
-def run_epochs_levelstop(kernel: Kernel, starts, rng, levels, clamp="strict"):
-    """Field at the left inverse of the lane's zero local time.
-
-    Lanes freeze the instant their zero local time reaches ``levels[lane]``
-    (mid-hold at 0, split exactly).  Lanes dying first are clamped: with
-    ``strict`` the field is frozen at the end of their last visit to 0
-    (zero field if they never visited); with ``total`` the whole life counts.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    levels = np.broadcast_to(np.asarray(levels, dtype=float), starts.shape).copy()
-    N = starts.shape[0]
-    n = kernel.n
-    zero = kernel.zero
-    if zero is None:
-        raise ValueError("level stop needs the zero state in the space")
-    m0 = kernel.m[zero]
-    st = starts.copy()
-    alive = np.ones(N, dtype=bool)
-    field = np.zeros((N, n))
-    snap = np.zeros((N, n))       # field at end of last completed 0-visit
-    t = np.zeros(N)
-    l0 = np.zeros(N)
-    reached = np.zeros(N, dtype=bool)
-    clamped = np.zeros(N, dtype=bool)
-    t0 = np.full(N, np.nan)
-    hit = st == zero
-    t0[hit] = 0.0
-    tau = np.full(N, np.nan)
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        s = st[idx]
-        d = rng.standard_exponential(idx.size) / kernel.total_rate[s]
-        at0 = s == zero
-        gained = np.where(at0, d / m0, 0.0)
-        crossing = at0 & (l0[idx] + gained >= levels[idx])
-        ci = idx[crossing]
-        if ci.size:
-            part = (levels[ci] - l0[ci]) * m0
-            field[ci, zero] += levels[ci] - l0[ci]
-            t[ci] += part
-            l0[ci] = levels[ci]
-            tau[ci] = t[ci]
-            reached[ci] = True
-            alive[ci] = False
-        keep = ~crossing
-        ki = idx[keep]
-        sk = s[keep]
-        dk = d[keep]
-        field[ki, sk] += dk / kernel.m[sk]
-        t[ki] += dk
-        l0[ki] += gained[keep]
-        u = rng.random(idx.size)  # one uniform per lane incl. crossed (unused)
-        nxt = _draw_next(kernel, sk, u[keep])
-        dead = nxt < 0
-        di = ki[dead]
-        if di.size:
-            died_at0 = sk[dead] == zero
-            snap[di[died_at0]] = field[di[died_at0]]
-            clamped[di] = True
-            if clamp == "total":
-                snap[di] = field[di]
-            alive[di] = False
-        ji = ki[~dead]
-        tg = nxt[~dead]
-        if ji.size:
-            leaving = sk[~dead] == zero
-            li = ji[leaving]
-            snap[li] = field[li]
-            entering = tg == zero
-            ei = ji[entering]
-            fresh = ei[np.isnan(t0[ei])]
-            t0[fresh] = t[fresh]
-            st[ji] = tg
-    result = np.where(reached[:, None], field, snap)
-    return {
-        "field": result, "reached": reached, "clamped": clamped,
-        "l0": l0, "tau": tau, "t0": t0, "zeta_or_stop": t,
-    }
-
-
-# trace runners --------------------------------------------------------------
-
-def run_traces_stop_zero(kernel: Kernel, mu_idx, mu_cum, start, rng, r_max):
-    """Rebirthed traces stopped at the first entry into 0.
-
-    Lanes are abandoned (stop_epoch = 0) once ``r_max`` lives ended without
-    hitting 0, since only stop epochs up to r_max are of interest.  Per-epoch
-    fields are stored separately; the stopping epoch's slot holds its field
-    at the hitting time.
-    """
-    starts = np.asarray(start, dtype=np.int64)
-    N = starts.shape[0]
-    n = kernel.n
-    zero = kernel.zero
-    st = starts.copy()
-    ep = np.ones(N, dtype=np.int64)
-    alive = np.ones(N, dtype=bool)
-    fields = np.zeros((N, r_max, n))
-    t = np.zeros(N)
-    stop_epoch = np.zeros(N, dtype=np.int64)
-    stop_time = np.full(N, np.nan)
-    bounds = np.full((N, r_max), np.nan)
-    min_idx = np.full((N, r_max), -1, dtype=np.int64)
-    min_idx[:, 0] = st
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        s = st[idx]
-        e = ep[idx] - 1
-        d = rng.standard_exponential(idx.size) / kernel.total_rate[s]
-        fields[idx, e, s] += d / kernel.m[s]
-        t[idx] += d
-        u = rng.random(idx.size)
-        nxt = _draw_next(kernel, s, u)
-        dead = nxt == KILL
-        di = idx[dead]
-        if di.size:
-            bounds[di, ep[di] - 1] = t[di]
-            over = ep[di] >= r_max
-            alive[di[over]] = False
-            rb = di[~over]
-            if rb.size:
-                ep[rb] += 1
-                st[rb] = _draw_mu(mu_idx, mu_cum, rng.random(rb.size))
-                min_idx[rb, ep[rb] - 1] = st[rb]
-        ji = idx[~dead]
-        tg = nxt[~dead]
-        if ji.size:
-            entering = tg == zero
-            ei = ji[entering]
-            if ei.size:
-                stop_epoch[ei] = ep[ei]
-                stop_time[ei] = t[ei]
-                alive[ei] = False
-                ji = ji[~entering]
-                tg = tg[~entering]
-            st[ji] = tg
-            np.minimum.at(min_idx, (ji, ep[ji] - 1), tg)
-    return {
-        "fields": fields, "stop_epoch": stop_epoch, "stop_time": stop_time,
-        "bounds": bounds, "min_index": min_idx,
-    }
-
-
-def run_traces_stop_absorb(kernel: Kernel, mu_idx, mu_cum, start, rng, r_max):
-    """Rebirthed traces on an absorbing chain, stopped at the first
-    absorption death; the stopping epoch's field is its complete field."""
-    starts = np.asarray(start, dtype=np.int64)
-    N = starts.shape[0]
-    n = kernel.n
-    st = starts.copy()
-    ep = np.ones(N, dtype=np.int64)
-    alive = np.ones(N, dtype=bool)
-    fields = np.zeros((N, r_max, n))
-    t = np.zeros(N)
-    stop_epoch = np.zeros(N, dtype=np.int64)
-    stop_time = np.full(N, np.nan)
-    bounds = np.full((N, r_max), np.nan)
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        s = st[idx]
-        e = ep[idx] - 1
-        d = rng.standard_exponential(idx.size) / kernel.total_rate[s]
-        fields[idx, e, s] += d / kernel.m[s]
-        t[idx] += d
-        u = rng.random(idx.size)
-        nxt = _draw_next(kernel, s, u)
-        dead = nxt < 0
-        di = idx[dead]
-        if di.size:
-            absorbed = nxt[dead] == ABSORB
-            bounds[di, ep[di] - 1] = t[di]
-            ai = di[absorbed]
-            stop_epoch[ai] = ep[ai]
-            stop_time[ai] = t[ai]
-            alive[ai] = False
-            ki = di[~absorbed]
-            over = ep[ki] >= r_max
-            alive[ki[over]] = False
-            rb = ki[~over]
-            if rb.size:
-                ep[rb] += 1
-                st[rb] = _draw_mu(mu_idx, mu_cum, rng.random(rb.size))
-        ji = idx[~dead]
-        st[ji] = nxt[~dead]
-    return {
-        "fields": fields, "stop_epoch": stop_epoch, "stop_time": stop_time,
-        "bounds": bounds,
-    }
-
-
-def run_traces_inverse_lt(kernel: Kernel, mu_idx, mu_cum, start, rng, levels,
-                          r_max):
-    """Rebirthed traces stopped when the zero local time first exceeds the
-    lane's level (right-continuous inverse).
-
-    Exact float ties between the level and an end-of-visit value are counted
-    and the lane keeps running (the inverse then sits in a later visit).
-    Returns per-epoch fields, zero-local-time boundaries, the first zero hit
-    of each stopping epoch and the stop offset within it.
-    """
-    starts = np.asarray(start, dtype=np.int64)
-    levels = np.broadcast_to(np.asarray(levels, dtype=float), starts.shape).copy()
-    N = starts.shape[0]
-    n = kernel.n
-    zero = kernel.zero
-    m0 = kernel.m[zero]
-    st = starts.copy()
-    ep = np.ones(N, dtype=np.int64)
-    alive = np.ones(N, dtype=bool)
-    fields = np.zeros((N, r_max, n))
-    t = np.zeros(N)
-    l0 = np.zeros(N)
-    stop_epoch = np.zeros(N, dtype=np.int64)
-    stop_time = np.full(N, np.nan)
-    bounds = np.full((N, r_max), np.nan)
-    l0_bounds = np.full((N, r_max), np.nan)
-    ep_start = np.zeros(N)            # trace time at current epoch start
-    ep_t0 = np.full((N, r_max), np.nan)  # first zero hit within each epoch
-    at0_from_start = st == zero
-    ep_t0[at0_from_start, 0] = 0.0
-    ties = 0
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        s = st[idx]
-        e = ep[idx] - 1
-        d = rng.standard_exponential(idx.size) / kernel.total_rate[s]
-        at0 = s == zero
-        gained = np.where(at0, d / m0, 0.0)
-        l0_after = l0[idx] + gained
-        crossing = at0 & (l0_after > levels[idx])
-        ties += int(np.count_nonzero(at0 & (l0_after == levels[idx])))
-        ci = idx[crossing]
-        if ci.size:
-            part = (levels[ci] - l0[ci]) * m0
-            fields[ci, ep[ci] - 1, zero] += levels[ci] - l0[ci]
-            t[ci] += part
-            l0[ci] = levels[ci]
-            stop_epoch[ci] = ep[ci]
-            stop_time[ci] = t[ci]
-            alive[ci] = False
-        keep = ~crossing
-        ki = idx[keep]
-        sk = s[keep]
-        dk = d[keep]
-        ek = ep[ki] - 1
-        fields[ki, ek, sk] += dk / kernel.m[sk]
-        t[ki] += dk
-        l0[ki] = l0_after[keep]
-        u = rng.random(idx.size)
-        nxt = _draw_next(kernel, sk, u[keep])
-        dead = nxt == KILL
-        di = ki[dead]
-        if di.size:
-            bounds[di, ep[di] - 1] = t[di]
-            l0_bounds[di, ep[di] - 1] = l0[di]
-            over = ep[di] >= r_max
-            alive[di[over]] = False
-            rb = di[~over]
-            if rb.size:
-                ep[rb] += 1
-                st[rb] = _draw_mu(mu_idx, mu_cum, rng.random(rb.size))
-                ep_start[rb] = t[rb]
-                land0 = st[rb] == zero
-                ep_t0[rb[land0], ep[rb[land0]] - 1] = 0.0
-        ji = ki[~dead]
-        tg = nxt[~dead]
-        if ji.size:
-            entering = tg == zero
-            ei = ji[entering]
-            fresh = ei[np.isnan(ep_t0[ei, ep[ei] - 1])]
-            ep_t0[fresh, ep[fresh] - 1] = t[fresh] - ep_start[fresh]
-            st[ji] = tg
-    return {
-        "fields": fields, "stop_epoch": stop_epoch, "stop_time": stop_time,
-        "bounds": bounds, "l0_bounds": l0_bounds, "levels": levels,
-        "ep_t0": ep_t0, "ep_start": ep_start, "ties": ties,
-    }
-
-
-def run_traces_final(kernel: Kernel, mu_idx, mu_cum, start, rng, stop_kind,
-                     levels=None, budget=10**6):
-    """Rebirthed traces run to their stop with only the total field kept.
-
-    ``stop_kind``: "zero" stops at the first entry into 0, "absorb" at the
-    first absorption death, "invlt" when the zero local time first exceeds
-    the lane's level.  Used by the sweep diagnostics, where traces may span
-    many lives; exceeding ``budget`` lives raises.
-    """
-    from .errors import EpochBudgetExceeded
-
-    starts = np.asarray(start, dtype=np.int64)
-    N = starts.shape[0]
-    n = kernel.n
-    zero = kernel.zero
-    m0 = kernel.m[zero] if zero is not None else None
-    if stop_kind == "invlt":
-        levels = np.broadcast_to(np.asarray(levels, dtype=float),
-                                 starts.shape).copy()
-    st = starts.copy()
-    alive = np.ones(N, dtype=bool)
-    field = np.zeros((N, n))
-    t = np.zeros(N)
-    l0 = np.zeros(N)
-    epochs = np.ones(N, dtype=np.int64)
-    stop_time = np.full(N, np.nan)
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        s = st[idx]
-        d = rng.standard_exponential(idx.size) / kernel.total_rate[s]
-        if stop_kind == "invlt":
+        d = rng.standard_exponential(n_round) / kernel.total_rate[s]
+        if level_stop:
             at0 = s == zero
-            gained = np.where(at0, d / m0, 0.0)
-            crossing = at0 & (l0[idx] + gained > levels[idx])
+            after = l0[idx] + np.where(at0, d / m0, 0.0)
+            if stop == "left":
+                crossing = at0 & (after >= levels[idx])
+            else:
+                crossing = at0 & (after > levels[idx])
+                ties += int(np.count_nonzero(at0 & (after == levels[idx])))
             ci = idx[crossing]
             if ci.size:
                 t[ci] += (levels[ci] - l0[ci]) * m0
-                field[ci, zero] = levels[ci]  # exact at the crossing
+                if per_epoch:
+                    fields[ci, ep[ci] - 1, zero] += levels[ci] - l0[ci]
+                else:
+                    field[ci, zero] = levels[ci]  # exact at the crossing
                 l0[ci] = levels[ci]
-                stop_time[ci] = t[ci]
+                stopped[ci] = True
                 alive[ci] = False
             keep = ~crossing
-            idx = idx[keep]
-            s = s[keep]
-            d = d[keep]
-            l0[idx] += gained[keep]
-            if idx.size == 0:
-                continue
-        field[idx, s] += d / kernel.m[s]
+            idx, s, d = idx[keep], s[keep], d[keep]
+            l0[idx] = after[keep]
+        if record == "discount":
+            a = t[idx]
+            w = np.exp(-p * a) * -np.expm1(-p * np.minimum(d, horizon - a)) / p
+            rowsum[idx] += w
+            c = col_of[s]
+            tracked = c >= 0
+            V[idx[tracked], c[tracked]] += w[tracked] / m[s[tracked]]
+        elif per_epoch:
+            fields[idx, ep[idx] - 1, s] += d / m[s]
+        else:
+            field[idx, s] += d / m[s]
         t[idx] += d
-        u = rng.random(idx.size)
-        nxt = _draw_next(kernel, s, u)
+        u = rng.random(n_round)  # one per lane alive at the start of the round
+        nxt = _draw_next(kernel, s, u[keep] if level_stop else u)
+
         dead = nxt < 0
         di = idx[dead]
         if di.size:
-            absorbed = nxt[dead] == ABSORB
-            if stop_kind == "absorb":
-                ai = di[absorbed]
-                stop_time[ai] = t[ai]
-                alive[ai] = False
+            if per_epoch:
+                bounds[di, ep[di] - 1] = t[di]
+            if snap is not None:
+                at0_dead = di[s[dead] == zero]
+                snap[at0_dead] = field[at0_dead]
+            if stop == "absorb":
+                absorbed = nxt[dead] == ABSORB
+                stopped[di[absorbed]] = True
+                alive[di[absorbed]] = False
                 di = di[~absorbed]
-            epochs[di] += 1
-            if np.any(epochs[di] > budget):
-                raise EpochBudgetExceeded(
-                    f"trace exceeded {budget} lives before the stop fired"
-                )
-            if di.size:
-                st[di] = _draw_mu(mu_idx, mu_cum, rng.random(di.size))
+            if rebirth is None:
+                alive[di] = False
+            else:
+                if counted:
+                    over = ep[di] >= r_max
+                    alive[di[over]] = False  # abandoned: stop_epoch 0
+                    di = di[~over]
+                if di.size:
+                    st[di] = _draw_mu(rebirth[0], rebirth[1],
+                                      rng.random(di.size))
+                    if counted:
+                        ep[di] += 1
+                    if ep_t0 is not None:
+                        ep_start[di] = t[di]
+                        land = di[st[di] == zero]
+                        ep_t0[land, ep[land] - 1] = 0.0
+                    if track_min:
+                        low[di, ep[di] - 1] = st[di]
+
         ji = idx[~dead]
         tg = nxt[~dead]
-        if ji.size:
-            if stop_kind == "zero":
-                entering = tg == zero
-                ei = ji[entering]
-                stop_time[ei] = t[ei]
-                alive[ei] = False
-                ji = ji[~entering]
-                tg = tg[~entering]
-            st[ji] = tg
-    return {"field": field, "stop_time": stop_time, "epochs": epochs,
-            "l0": l0}
+        if snap is not None:
+            leaving = ji[s[~dead] == zero]
+            snap[leaving] = field[leaving]
+        if stop == "zero" and zero is not None:
+            entering = tg == zero
+            ei = ji[entering]
+            stopped[ei] = True
+            alive[ei] = False
+            ji, tg = ji[~entering], tg[~entering]
+        elif ep_t0 is not None:
+            ei = ji[tg == zero]
+            fresh = ei[np.isnan(ep_t0[ei, ep[ei] - 1])]
+            ep_t0[fresh, ep[fresh] - 1] = t[fresh] - ep_start[fresh]
+        st[ji] = tg
+        if track_min:
+            np.minimum.at(low, (ji, ep[ji] - 1), tg)
 
+        if stop == "horizon":
+            done = idx[t[idx] >= horizon]
+            done = done[alive[done]]
+            stopped[done] = True
+            alive[done] = False
 
-def run_traces_discount(kernel: Kernel, mu_idx, mu_cum, start, rng, p,
-                        horizon, target_cols):
-    """Discounted local-time integrals of the rebirthed process.
-
-    Per lane and target state y accumulates the exact integral of
-    exp(-p s) dL^y_s over holds up to ``horizon``, plus the m-weighted total
-    over all states (whose expectation is (1 - e^{-p T})/p).
-    """
-    starts = np.asarray(start, dtype=np.int64)
-    N = starts.shape[0]
-    zero_col = np.full(kernel.n, -1, dtype=np.int64)
-    for col, state_idx in enumerate(target_cols):
-        zero_col[state_idx] = col
-    st = starts.copy()
-    alive = np.ones(N, dtype=bool)
-    t = np.zeros(N)
-    V = np.zeros((N, len(target_cols)))
-    rowsum = np.zeros(N)
-    while alive.any():
-        idx = np.nonzero(alive)[0]
-        s = st[idx]
-        d = rng.standard_exponential(idx.size) / kernel.total_rate[s]
-        a = t[idx]
-        dcap = np.minimum(d, horizon - a)
-        w = np.exp(-p * a) * -np.expm1(-p * dcap) / p
-        rowsum[idx] += w
-        cols = zero_col[s]
-        tracked = cols >= 0
-        ti = idx[tracked]
-        V[ti, cols[tracked]] += w[tracked] / kernel.m[s[tracked]]
-        t[idx] += d
-        u = rng.random(idx.size)
-        nxt = _draw_next(kernel, s, u)
-        dead = nxt == KILL
-        di = idx[dead]
-        if di.size:
-            st[di] = _draw_mu(mu_idx, mu_cum, rng.random(di.size))
-        ji = idx[~dead]
-        st[ji] = nxt[~dead]
-        done = t[idx] >= horizon
-        alive[idx[done]] = False
-    return {"V": V, "rowsum": rowsum}
+    out = {"t": t, "stopped": stopped, "state": st}
+    if per_epoch:
+        out["fields"] = fields
+        out["bounds"] = bounds
+    elif record == "total":
+        out["field"] = field if snap is None \
+            else np.where(stopped[:, None], field, snap)
+    else:
+        out["V"] = V
+        out["rowsum"] = rowsum
+    if counted:
+        out["epochs"] = ep
+        out["stop_epoch"] = np.where(stopped, ep, 0)
+    if level_stop:
+        out["l0"] = l0
+        if stop == "right":
+            out["ties"] = ties
+    if ep_t0 is not None:
+        out["ep_t0"] = ep_t0
+    if track_min:
+        out["min_index"] = low
+    return out

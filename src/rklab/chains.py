@@ -177,9 +177,6 @@ class PotentialMatrix:
     def value(self, x, y) -> float:
         return float(self.table[self.index[x], self.index[y]])
 
-    def row_integrals(self, measure: np.ndarray) -> np.ndarray:
-        return self.table @ measure
-
 
 @dataclass(frozen=True)
 class HittingProfile:

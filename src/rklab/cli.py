@@ -96,7 +96,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     changes = {}
     if args.seed is not None:
         changes["seed"] = args.seed
-    if getattr(args, "replicates", None):
+    if getattr(args, "replicates", None) is not None:
         changes["plan"] = dict(cfg.plan, replicates=args.replicates)
     if args.workers is not None:
         changes["workers"] = args.workers
@@ -154,13 +154,6 @@ def cmd_dump_potentials(args) -> int:
                 fh.write(f"{x},{prof.value(x)!r}\n")
     print(f"kernel tables written to {outdir}")
     return EXIT_PASS
-
-
-def _self_test_configs():
-    """Small-N runs of every harness on the reference chains."""
-    from . import selftest
-
-    return selftest.default_suite()
 
 
 def cmd_self_test(args) -> int:

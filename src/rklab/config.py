@@ -36,6 +36,15 @@ _PLAN_KEYS = {"r", "s", "p", "t", "replicates", "test_points",
               "stop", "level", "phi_kind", "phi_scale", "defect", "z_max"}
 
 
+def _num(value, path, kind=float):
+    """``kind(value)``, or a SchemaError naming the key path."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{path}: expected a number, got {value!r}") \
+            from None
+
+
 def check_seed(seed: int) -> None:
     """Random streams are seeded from nonnegative integers only."""
     if seed < 0:
@@ -49,11 +58,7 @@ def check_workers(workers: int) -> None:
 
 def check_z_max(z_max) -> None:
     """A verdict threshold that some |z| can pass and some can fail."""
-    try:
-        value = float(z_max)
-    except (TypeError, ValueError):
-        raise SchemaError(f"plan.z_max: expected a number, got {z_max!r}") \
-            from None
+    value = _num(z_max, "plan.z_max")
     if not math.isfinite(value) or value <= 0:
         raise InvariantError(f"plan.z_max must be finite and > 0, got {value}")
 
@@ -83,7 +88,8 @@ class ExperimentConfig:
         p = self.plan
         kwargs = dict(
             chain=self.chain, mu=self.mu, start=self.start,
-            replicates=int(p.get("replicates", 200_000)),
+            replicates=_num(p.get("replicates", 200_000), "plan.replicates",
+                            int),
             seed=self.seed,
             test_points=tuple(p.get("test_points", ())),
             laplace_probes=tuple(tuple(v) for v in p.get("laplace_probes", ())),
@@ -91,38 +97,35 @@ class ExperimentConfig:
             workers=self.workers,
             defect=p.get("defect"),
         )
-        for key in ("r",):
-            if key in p:
-                kwargs[key] = int(p[key])
+        if "r" in p:
+            kwargs["r"] = _num(p["r"], "plan.r", int)
         for key in ("s", "p", "t", "z_max"):
             if key in p:
-                kwargs[key] = float(p[key])
+                kwargs[key] = _num(p[key], f"plan.{key}")
         return TestPlan(**kwargs)
 
     def sweep_config(self) -> SweepConfig:
         p = self.plan
-        if "scales" not in p:
-            raise InvariantError("sweep plans need a scales list")
         return SweepConfig(
             chain=self.chain, mu=self.mu, start=self.start,
-            replicates=int(p.get("replicates", 200)),
+            replicates=_num(p.get("replicates", 200), "plan.replicates", int),
             seed=self.seed,
-            scales=tuple(float(v) for v in p["scales"]),
+            scales=self.scales(),
             stop_kind=p.get("stop", "zero"),
-            level=float(p["level"]) if "level" in p else None,
+            level=_num(p["level"], "plan.level") if "level" in p else None,
             d=p.get("d"),
             interval=tuple(p["interval"]) if "interval" in p else None,
             phi_kind=p.get("phi_kind",
                            "log" if self.harness == "modulus-uniform"
                            else "loglog"),
-            phi_scale=float(p.get("phi_scale", 2.0)),
+            phi_scale=_num(p.get("phi_scale", 2.0), "plan.phi_scale"),
             workers=self.workers,
         )
 
     def scales(self):
         if "scales" not in self.plan:
             raise InvariantError("this harness needs a scales list")
-        return tuple(float(v) for v in self.plan["scales"])
+        return tuple(_num(v, "plan.scales") for v in self.plan["scales"])
 
 
 def _require_mapping(obj, path):
@@ -141,21 +144,23 @@ def _build_chain(doc) -> SymmetricChain:
     _require_mapping(doc, "chain")
     _reject_unknown(doc, _CHAIN_KEYS, "chain")
     kind = doc.get("kind", "explicit")
-    kill = float(doc.get("kill_rate", 1.0))
+    kill = _num(doc.get("kill_rate", 1.0), "chain.kill_rate")
     zero = doc.get("zero_state", 0)
     if kind == "birth-death":
         for key in ("n", "rate"):
             if key not in doc:
                 raise SchemaError(f"chain: birth-death needs {key!r}")
         return birth_death_chain(
-            int(doc["n"]), float(doc["rate"]), kill_rate=kill,
+            _num(doc["n"], "chain.n", int), _num(doc["rate"], "chain.rate"),
+            kill_rate=kill,
             absorb_at_zero=bool(doc.get("absorb_at_zero", False)),
         )
     if kind == "path":
         if "states" not in doc:
             raise SchemaError("chain: path needs a states list")
         return path_chain(
-            tuple(doc["states"]), rate=float(doc.get("rate", 1.0)),
+            tuple(doc["states"]),
+            rate=_num(doc.get("rate", 1.0), "chain.rate"),
             measure=doc.get("measure", 1.0), kill_rate=kill, zero_state=zero,
         )
     if kind == "explicit":
@@ -166,11 +171,11 @@ def _build_chain(doc) -> SymmetricChain:
         for triple in doc["rates"]:
             if not isinstance(triple, (list, tuple)) or len(triple) != 3:
                 raise SchemaError("chain.rates: entries must be [from, to, rate]")
-            rates[(triple[0], triple[1])] = float(triple[2])
+            rates[(triple[0], triple[1])] = _num(triple[2], "chain.rates")
         measure = doc["measure"]
         states = tuple(doc["states"])
         if not isinstance(measure, dict):
-            measure = {x: float(measure) for x in states}
+            measure = {x: _num(measure, "chain.measure") for x in states}
         spec = ChainSpec(
             states=states, rates=rates, measure=measure, kill_rate=kill,
             zero_state=zero,
@@ -201,7 +206,8 @@ def parse_config(text: str) -> ExperimentConfig:
     mu = None
     if "mu" in doc and doc["mu"] is not None:
         weights = _require_mapping(doc["mu"], "mu")
-        mu = RebirthMeasure(weights={k: float(v) for k, v in weights.items()})
+        mu = RebirthMeasure(weights={k: _num(v, f"mu.{k}")
+                                     for k, v in weights.items()})
         mu.validate(chain)
     plan = _require_mapping(doc.get("plan", {}), "plan")
     _reject_unknown(plan, _PLAN_KEYS, "plan")
@@ -211,9 +217,9 @@ def parse_config(text: str) -> ExperimentConfig:
         mu=mu,
         start=doc.get("start"),
         plan=dict(plan),
-        seed=int(doc["seed"]),
+        seed=_num(doc["seed"], "seed", int),
         output=doc.get("output"),
-        workers=int(doc.get("workers", 1)),
+        workers=_num(doc.get("workers", 1), "workers", int),
         figures=bool(doc.get("figures", True)),
     )
     # eager validation so configuration errors surface at parse time

@@ -21,20 +21,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import (
-    ZERO_STOP,
     block_plan,
     block_rng,
     make_kernel,
     map_blocks,
     mu_tables,
-    run_epochs,
-    run_traces_final,
-    run_traces_stop_zero,
+    simulate,
 )
 from .chains import potential_matrix
-from .errors import ConditioningTooRare, GridTooCoarse, InvariantError
-from .harnesses import MIN_CONDITIONED, TestPlan, tag_for
+from .errors import (
+    ConditioningTooRare,
+    EpochBudgetExceeded,
+    GridTooCoarse,
+    InvariantError,
+)
+from .harnesses import MIN_CONDITIONED, TestPlan, _markov, _starts, tag_for
 from .stats import ComparisonReport, StatRow, compare_sides, side_estimates, zscore
+
+SWEEP_BUDGET = 10**6  # lives per trace before a sweep gives up
 
 
 @dataclass
@@ -107,6 +111,8 @@ class SweepConfig:
             raise InvariantError("scales must be strictly decreasing")
         if self.chain.coords is None:
             raise InvariantError("sweeps need a chain with grid coordinates")
+        if self.stop_kind not in ("zero", "absorb", "invlt"):
+            raise InvariantError(f"unknown sweep stop {self.stop_kind!r}")
         if self.stop_kind == "invlt" and (self.level is None or self.level <= 0):
             raise InvariantError("invlt sweeps need a positive level")
         self.mu.validate(self.chain)
@@ -142,27 +148,21 @@ def _modulus_phi(cfg, sigma2, offsets_coord):
     return np.sqrt(cfg.phi_scale * sigma2 * corr)
 
 
-def _blk_sweep_traces(kernel, mu_pack, start_idx, stop_kind, level, size,
-                      seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    starts = np.full(size, start_idx, dtype=np.int64)
-    levels = None if level is None else np.full(size, float(level))
-    return run_traces_final(kernel, mu_pack[0], mu_pack[1], starts, rng,
-                            stop_kind, levels=levels)
-
-
 def _sweep_fields(cfg, sweep_id):
+    """Total fields of rebirthed traces run to the sweep's stop."""
     kernel = make_kernel(cfg.chain)
-    mu_pack = mu_tables(cfg.chain, cfg.mu)
-    start_idx = cfg.chain.state_index(cfg.start)
-    payloads = []
-    tag = tag_for(sweep_id, 1)
-    for b, size in enumerate(block_plan(cfg.replicates)):
-        payloads.append((_blk_sweep_traces,
-                         (kernel, mu_pack, start_idx, cfg.stop_kind,
-                          cfg.level, size, cfg.seed, tag, b)))
-    results = map_blocks(payloads, cfg.workers)
-    return np.concatenate([r["field"] for r in results])
+    start = ("fixed", cfg.chain.state_index(cfg.start))
+    level = None
+    stop = cfg.stop_kind
+    if stop == "invlt":
+        stop, level = "right", ("fixed", cfg.level)
+    out = _markov(cfg, sweep_id, 1, kernel, start, level, stop=stop,
+                  rebirth=mu_tables(cfg.chain, cfg.mu), r_max=SWEEP_BUDGET)
+    if np.any(out["stop_epoch"] == 0):
+        raise EpochBudgetExceeded(
+            f"trace exceeded {SWEEP_BUDGET} lives before the stop fired"
+        )
+    return out["field"]
 
 
 def _median_ratios(per_scale):
@@ -325,7 +325,8 @@ def _blk_reduction_lhs(kernel, mu_pack, start_idx, r, dcols, size, seed,
                        tag, b):
     rng = block_rng(seed, tag, b)
     starts = np.full(size, start_idx, dtype=np.int64)
-    out = run_traces_stop_zero(kernel, mu_pack[0], mu_pack[1], starts, rng, r)
+    out = simulate(kernel, starts, rng, stop="zero", record="epochs",
+                   rebirth=mu_pack, r_max=r, track_min=True)
     kept = out["stop_epoch"] == r
     total = out["fields"][kept].sum(axis=1)
     sups = np.stack([total[:, c].max(axis=1) for c in dcols], axis=1) \
@@ -348,15 +349,15 @@ def _blk_reduction_rhs(kernel, mu_pack, start_idx, r, dcols, size, seed,
     rng = block_rng(seed, tag, b)
     parts = []
     starts_y = np.full(size, start_idx, dtype=np.int64)
-    ep = run_epochs(kernel, starts_y, rng, stop_on_zero=True)
-    parts.append(ep["field"][ep["cause"] != ZERO_STOP])
+    ep = simulate(kernel, starts_y, rng, stop="zero")
+    parts.append(ep["field"][~ep["stopped"]])
     for _ in range(r - 2):
-        starts_mu = _mu_starts(mu_pack, size, rng)
-        ep = run_epochs(kernel, starts_mu, rng, stop_on_zero=True)
-        parts.append(ep["field"][ep["cause"] != ZERO_STOP])
-    starts_mu = _mu_starts(mu_pack, size, rng)
-    ep = run_epochs(kernel, starts_mu, rng, stop_on_zero=True)
-    hit_fields = ep["field"][ep["cause"] == ZERO_STOP]
+        starts_mu = _starts(("mu",) + mu_pack, size, rng)
+        ep = simulate(kernel, starts_mu, rng, stop="zero")
+        parts.append(ep["field"][~ep["stopped"]])
+    starts_mu = _starts(("mu",) + mu_pack, size, rng)
+    ep = simulate(kernel, starts_mu, rng, stop="zero")
+    hit_fields = ep["field"][ep["stopped"]]
     m = min([p.shape[0] for p in parts] + [hit_fields.shape[0]])
     total = hit_fields[:m].copy()
     for p in parts:
@@ -365,12 +366,6 @@ def _blk_reduction_rhs(kernel, mu_pack, start_idx, r, dcols, size, seed,
     single = np.stack([hit_fields[:m, :][:, c].max(axis=1) for c in dcols],
                       axis=1)
     return {"sups": sups, "single": single, "paired": m}
-
-
-def _mu_starts(mu_pack, size, rng):
-    from .batch import _draw_mu
-
-    return _draw_mu(mu_pack[0], mu_pack[1], rng.random(size))
 
 
 def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:

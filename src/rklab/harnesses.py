@@ -21,21 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import batch
 from .batch import (
-    ABSORB_DEATH,
-    EXP_DEATH,
-    ZERO_STOP,
+    _draw_mu,
     block_plan,
     block_rng,
     make_kernel,
     map_blocks,
     mu_tables,
-    run_epochs,
-    run_epochs_levelstop,
-    run_traces_inverse_lt,
-    run_traces_stop_absorb,
-    run_traces_stop_zero,
+    simulate,
 )
 from .chains import (
     RebirthMeasure,
@@ -150,69 +143,26 @@ def _starts(start_spec, size, rng):
     if kind == "fixed":
         return np.full(size, start_spec[1], dtype=np.int64)
     mu_idx, mu_cum = start_spec[1], start_spec[2]
-    return batch._draw_mu(mu_idx, mu_cum, rng.random(size))
+    return _draw_mu(mu_idx, mu_cum, rng.random(size))
 
 
-def _blk_full_epochs(kernel, start_spec, snapshot_t0, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    starts = _starts(start_spec, size, rng)
-    return run_epochs(kernel, starts, rng, stop_on_zero=False,
-                      snapshot_t0=snapshot_t0)
-
-
-def _blk_killed_epochs(kernel, start_spec, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    starts = _starts(start_spec, size, rng)
-    return run_epochs(kernel, starts, rng, stop_on_zero=True)
-
-
-def _blk_levelstop(kernel, start_spec, level_spec, clamp, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    starts = _starts(start_spec, size, rng)
+def _levels(level_spec, size, rng):
     if level_spec[0] == "fixed":
-        levels = np.full(size, float(level_spec[1]))
-    else:
-        levels = rng.exponential(1.0 / float(level_spec[1]), size)
-    out = run_epochs_levelstop(kernel, starts, rng, levels, clamp=clamp)
-    out["levels"] = levels
-    return out
+        return np.full(size, float(level_spec[1]))
+    return rng.exponential(1.0 / float(level_spec[1]), size)
 
 
-def _blk_full_epochs_with_levels(kernel, start_spec, p, size, seed, tag, b):
+def _blk_markov(kernel, start_spec, level_spec, engine, size, seed, tag, b):
+    """One block of a Markov ensemble: draw the starts, then the levels (if
+    any), then run :func:`simulate` with the keyword arguments ``engine``.
+    Drawn levels are returned as ``levels``; only level stops use them."""
     rng = block_rng(seed, tag, b)
     starts = _starts(start_spec, size, rng)
-    levels = rng.exponential(1.0 / p, size)
-    out = run_epochs(kernel, starts, rng)
-    out["levels"] = levels
+    levels = None if level_spec is None else _levels(level_spec, size, rng)
+    out = simulate(kernel, starts, rng, levels=levels, **engine)
+    if levels is not None:
+        out["levels"] = levels
     return out
-
-
-def _blk_traces_zero(kernel, mu_pack, start_idx, r_max, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    starts = np.full(size, start_idx, dtype=np.int64)
-    return run_traces_stop_zero(kernel, mu_pack[0], mu_pack[1], starts, rng, r_max)
-
-
-def _blk_traces_absorb(kernel, mu_pack, start_idx, r_max, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    starts = np.full(size, start_idx, dtype=np.int64)
-    return run_traces_stop_absorb(kernel, mu_pack[0], mu_pack[1], starts, rng, r_max)
-
-
-def _blk_traces_invlt(kernel, mu_pack, start_idx, p, r_max, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    starts = np.full(size, start_idx, dtype=np.int64)
-    levels = rng.exponential(1.0 / p, size)
-    return run_traces_inverse_lt(kernel, mu_pack[0], mu_pack[1], starts, rng,
-                                 levels, r_max)
-
-
-def _blk_discount(kernel, mu_pack, start_idx, p, horizon, target_cols, size,
-                  seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    starts = np.full(size, start_idx, dtype=np.int64)
-    return batch.run_traces_discount(kernel, mu_pack[0], mu_pack[1], starts,
-                                     rng, p, horizon, target_cols)
 
 
 def _blk_gauss_shift_sq(factor, s, y_idx, size, seed, tag, b):
@@ -271,6 +221,14 @@ def _collect(plan, fn, static_args, role):
 
 def _ensemble(plan, harness, role, fn, *args):
     return _collect(plan, fn, (tag_for(harness, role), tuple(args)), role)
+
+
+def _markov(plan, harness, role, kernel, start_spec, level_spec=None,
+            **engine):
+    """A Markov ensemble: ``engine`` holds the keyword arguments of
+    :func:`simulate` (stop policy, record kind, rebirth table, ...)."""
+    return _ensemble(plan, harness, role, _blk_markov, kernel, start_spec,
+                     level_spec, engine)
 
 
 # shared bits ----------------------------------------------------------------
@@ -397,9 +355,11 @@ def run_normalization(plan: TestPlan) -> ComparisonReport:
     rows = []
     all_states = len(cols) == chain.n_states
     for k, x in enumerate(plan.test_points):
-        out = _ensemble(
-            plan, "normalization", 10 + k, _blk_discount,
-            kernel, mu_pack, chain.state_index(x), plan.p, horizon, cols,
+        out = _markov(
+            plan, "normalization", 10 + k, kernel,
+            ("fixed", chain.state_index(x)), stop="horizon",
+            record="discount", rebirth=mu_pack, horizon=horizon, p=plan.p,
+            cols=cols,
         )
         labels = [f"w[{x},{y}]" for y in plan.test_points]
         rows += rows_vs_exact(out["V"], target[chain.state_index(x), cols],
@@ -435,8 +395,7 @@ def run_eisenbaum(plan: TestPlan) -> ComparisonReport:
     _check_analytic(markov, gauss, metadata)
 
     kernel = make_kernel(chain)
-    eps = _ensemble(plan, "eisenbaum", 1, _blk_full_epochs,
-                    kernel, ("fixed", y), False)
+    eps = _markov(plan, "eisenbaum", 1, kernel, ("fixed", y))
     gl = _ensemble(plan, "eisenbaum", 2, _blk_gauss_shift_sq, u0f, plan.s,
                    y_pos)
     lhs = eps["field"][:, cols] + gl["vals"][:, pos]
@@ -458,18 +417,16 @@ def _first_rk_markov_fields(plan, kernel, mu_pack, harness="first-rk"):
     y = chain.state_index(plan.start)
     total = None
     if plan.r >= 2:
-        ep = _ensemble(plan, harness, 20, _blk_full_epochs,
-                       kernel, ("fixed", y), False)
+        ep = _markov(plan, harness, 20, kernel, ("fixed", y))
         total = ep["field"]
         for i in range(2, plan.r):
-            ep = _ensemble(plan, harness, 20 + i, _blk_full_epochs,
-                           kernel, ("mu",) + mu_pack, False)
+            ep = _markov(plan, harness, 20 + i, kernel, ("mu",) + mu_pack)
             total = total + ep["field"]
-        killed = _ensemble(plan, harness, 40, _blk_killed_epochs,
-                           kernel, ("mu",) + mu_pack)
+        killed = _markov(plan, harness, 40, kernel, ("mu",) + mu_pack,
+                         stop="zero")
     else:
-        killed = _ensemble(plan, harness, 40, _blk_killed_epochs,
-                           kernel, ("fixed", y))
+        killed = _markov(plan, harness, 40, kernel, ("fixed", y),
+                         stop="zero")
     total = killed["field"] if total is None else total + killed["field"]
     return total
 
@@ -521,8 +478,8 @@ def run_first_rk_cond(plan: TestPlan) -> ComparisonReport:
     cols = plan.tp_cols
     r = plan.r
 
-    traces = _ensemble(plan, "first-rk-cond", 1, _blk_traces_zero,
-                       kernel, mu_pack, y, r)
+    traces = _markov(plan, "first-rk-cond", 1, kernel, ("fixed", y),
+                     stop="zero", record="epochs", rebirth=mu_pack, r_max=r)
     kept = traces["stop_epoch"] == r
     n_kept = int(np.count_nonzero(kept))
     if n_kept < MIN_CONDITIONED:
@@ -532,12 +489,12 @@ def run_first_rk_cond(plan: TestPlan) -> ComparisonReport:
     early = traces["fields"][kept][:, 0, :][:, cols]
     last = traces["fields"][kept][:, r - 1, :][:, cols]
 
-    marginal = _ensemble(plan, "first-rk-cond", 2, _blk_killed_epochs,
-                         kernel, ("mu",) + mu_pack)
+    marginal = _markov(plan, "first-rk-cond", 2, kernel, ("mu",) + mu_pack,
+                       stop="zero")
     if plan.defect == "unconditioned-marginal":
         ref = marginal["field"][:, cols]
     else:
-        ref = marginal["field"][marginal["cause"] == ZERO_STOP][:, cols]
+        ref = marginal["field"][marginal["stopped"]][:, cols]
 
     rows = compare_sides(
         side_estimates(last, plan.point_labels, plan.laplace_probes,
@@ -554,11 +511,11 @@ def run_first_rk_cond(plan: TestPlan) -> ComparisonReport:
     fracs, ns = [], []
     for i in range(1, r + 1):
         spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
-        ens = _ensemble(plan, "first-rk-cond", 10 + i, _blk_killed_epochs,
-                        kernel, spec)
-        frac_hit = float(np.mean(ens["cause"] == ZERO_STOP))
+        ens = _markov(plan, "first-rk-cond", 10 + i, kernel, spec,
+                      stop="zero")
+        frac_hit = float(np.mean(ens["stopped"]))
         fracs.append(frac_hit if i == r else 1.0 - frac_hit)
-        ns.append(ens["cause"].shape[0])
+        ns.append(ens["stopped"].shape[0])
     rows.append(product_fraction_row(
         "factorization", n_kept / plan.replicates, plan.replicates, fracs, ns,
     ))
@@ -584,8 +541,8 @@ def run_tminus(plan: TestPlan) -> ComparisonReport:
     cols = plan.tp_cols
     r = plan.r
 
-    traces = _ensemble(plan, "tminus", 1, _blk_traces_absorb,
-                       kernel, mu_pack, y, r)
+    traces = _markov(plan, "tminus", 1, kernel, ("fixed", y), stop="absorb",
+                     record="epochs", rebirth=mu_pack, r_max=r)
     kept = traces["stop_epoch"] == r
     n_kept = int(np.count_nonzero(kept))
     if n_kept < MIN_CONDITIONED:
@@ -598,11 +555,11 @@ def run_tminus(plan: TestPlan) -> ComparisonReport:
     qc_violations = 0
     for i in range(1, r + 1):
         spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
-        ens = _ensemble(plan, "tminus", 10 + i, _blk_full_epochs,
-                        kernel, spec, False)
-        absorbed = ens["cause"] == ABSORB_DEATH
+        ens = _markov(plan, "tminus", 10 + i, kernel, spec, stop="absorb")
+        absorbed = ens["stopped"]
+        # an absorbed life must end next to 0, where absorption has a rate
         qc_violations += int(np.count_nonzero(
-            absorbed & (ens["t0"] != ens["zeta"])
+            absorbed & (chain.absorb_rate[ens["state"]] == 0.0)
         ))
         if i == r and plan.defect != "unconditioned-last":
             keep = absorbed
@@ -647,8 +604,8 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
 
     # standalone: life from 0 run to the inverse time, plus a plain square,
     # against the bumped square (both sides unweighted)
-    tau_ep = _ensemble(plan, "second-rk", 1, _blk_levelstop,
-                       kernel, ("fixed", zero), ("fixed", plan.t), "strict")
+    tau_ep = _markov(plan, "second-rk", 1, kernel, ("fixed", zero),
+                     ("fixed", plan.t), stop="left")
     sq = _ensemble(plan, "second-rk", 2, _blk_gauss_square, utf)
     lhs_sa = tau_ep["field"][:, cols] + sq["vals"][:, pos]
     rhs_sa = _ensemble(plan, "second-rk", 3, _blk_gauss_standalone_rhs,
@@ -666,8 +623,8 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
     # against the bumped composite under the tilt
     markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack,
                                             harness="second-rk")
-    tau_ep2 = _ensemble(plan, "second-rk", 4, _blk_levelstop,
-                        kernel, ("fixed", zero), ("fixed", plan.t), "strict")
+    tau_ep2 = _markov(plan, "second-rk", 4, kernel, ("fixed", zero),
+                      ("fixed", plan.t), stop="left")
     gl = _ensemble(plan, "second-rk", 60, _blk_gauss_second,
                    plan.r, plan.s, plan.t, profile_s, u0f, utf, y_pos, mu_vec)
     lhs = markov_fields[:, cols] + tau_ep2["field"][:, cols] \
@@ -706,8 +663,9 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     cols = plan.tp_cols
     r = plan.r
 
-    traces = _ensemble(plan, "second-rk-cond", 1, _blk_traces_invlt,
-                       kernel, mu_pack, y, plan.p, r)
+    traces = _markov(plan, "second-rk-cond", 1, kernel, ("fixed", y),
+                     ("exp", plan.p), stop="right", record="epochs",
+                     rebirth=mu_pack, r_max=r)
     kept = traces["stop_epoch"] == r
     n_kept = int(np.count_nonzero(kept))
     if n_kept < MIN_CONDITIONED:
@@ -724,16 +682,16 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     id_viol = int(np.count_nonzero(
         np.abs(l0_final - lam) > 1e-12 * np.maximum(1.0, lam)
     ))
-    offs = traces["stop_time"][kept] - traces["bounds"][kept][:, r - 2]
+    offs = traces["t"][kept] - traces["bounds"][kept][:, r - 2]
     tau_viol = int(np.count_nonzero(~(offs > 0.0)))
     hit_viol = int(np.count_nonzero(np.isnan(traces["ep_t0"][kept][:, r - 1])))
 
-    marginal = _ensemble(plan, "second-rk-cond", 2, _blk_levelstop,
-                         kernel, ("mu",) + mu_pack, ("exp", plan.p), "total")
+    marginal = _markov(plan, "second-rk-cond", 2, kernel, ("mu",) + mu_pack,
+                       ("exp", plan.p), stop="left", clamp="total")
     if plan.defect == "unconditioned-marginal":
         ref = marginal["field"][:, cols]
     else:
-        ref = marginal["field"][marginal["reached"]][:, cols]
+        ref = marginal["field"][marginal["stopped"]][:, cols]
 
     rows = compare_sides(
         side_estimates(last, plan.point_labels, plan.laplace_probes,
@@ -754,9 +712,9 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     fracs, ns = [], []
     for i in range(1, r + 1):
         spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
-        ens = _ensemble(plan, "second-rk-cond", 10 + i,
-                        _blk_full_epochs_with_levels, kernel, spec, plan.p)
-        below = ens["l0_total"] < ens["levels"]
+        ens = _markov(plan, "second-rk-cond", 10 + i, kernel, spec,
+                      ("exp", plan.p))
+        below = ens["field"][:, zero] < ens["levels"]
         frac = float(np.mean(~below)) if i == r else float(np.mean(below))
         fracs.append(frac)
         ns.append(below.shape[0])

@@ -164,8 +164,12 @@ seed: 11
     ("  s: 1.0\n  z_max: 0", []),
     ("  s: 1.0\n  z_max: .inf", []),
     ("seed: -3", []),
+    ("  s: abc", []),
+    ("seed: abc", []),
+    (None, ["--replicates", "0"]),
 ], ids=["cli-seed", "yaml-workers", "cli-workers", "z-max-negative",
-        "z-max-zero", "z-max-inf", "yaml-seed"])
+        "z-max-zero", "z-max-inf", "yaml-seed", "plan-s-not-a-number",
+        "yaml-seed-not-a-number", "cli-replicates-zero"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, edit, extra):
     text = SMALL_EISENBAUM
     if edit is not None:

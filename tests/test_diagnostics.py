@@ -133,3 +133,8 @@ def test_uniform_rejects_loglog():
     with pytest.raises(InvariantError):
         uniform_modulus_sweep(cfg,
                               fields=np.ones((16, cfg.chain.n_states)))
+
+
+def test_sweep_rejects_unknown_stop():
+    with pytest.raises(InvariantError, match="unknown sweep stop"):
+        _sweep_cfg(stop_kind="horizon")

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rklab.chains import (
-    ChainSpec,
     Kind,
     PotentialMatrix,
     RebirthMeasure,
     birth_death_chain,
-    build_chain,
     hitting_profile,
     killed_at_zero_potential,
     potential_matrix,
@@ -29,6 +27,7 @@ from rklab.gaussfield import (
     second_rk_composites_block,
 )
 from rklab.harnesses import REGISTRY, TestPlan, _readout
+from strategies import path_chains
 
 
 def _pot(table, states=None):
@@ -254,18 +253,8 @@ def test_grid_readout_keeps_power(harness, kw, defect):
 @st.composite
 def _path_chain_and_readout(draw):
     """A detailed-balance path chain with 0 inside, and a readout set."""
-    n = draw(st.integers(2, 7))
-    zero_pos = draw(st.integers(0, n - 1))
-    labels = tuple(range(-zero_pos, n - zero_pos))
-    positive = st.floats(0.1, 10.0)
-    m = {x: draw(positive) for x in labels}
-    rates = {}
-    for a, b in zip(labels[:-1], labels[1:]):
-        c = draw(positive)  # edge conductance m(a) q(a,b) = m(b) q(b,a)
-        rates[(a, b)] = c / m[a]
-        rates[(b, a)] = c / m[b]
-    chain = build_chain(ChainSpec(states=labels, rates=rates, measure=m,
-                                  kill_rate=draw(st.floats(0.1, 5.0))))
+    chain = draw(path_chains())
+    n = chain.n_states
     keep = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     return chain, np.array(keep)
 

@@ -78,6 +78,16 @@ def test_normalization_passes(ref_chain, mu_plus):
     assert "w[-1,-1]" in labels and "rowsum[0]" in labels
 
 
+def test_normalization_absorbing_chain_passes():
+    # an absorption is a death: the lane is reborn, not sent to a state
+    chain = absorbed_path_chain()
+    plan = TestPlan(chain=chain, mu=RebirthMeasure(weights={2: 1.0}),
+                    start=None, replicates=20_000, seed=921,
+                    test_points=(-2, -1, 1, 2), p=1.0)
+    rep = REGISTRY["normalization"](plan)
+    assert rep.verdict, f"max |z| = {rep.max_abs_z():.2f}"
+
+
 def test_tminus_passes():
     chain = absorbed_path_chain()
     plan = TestPlan(chain=chain, mu=RebirthMeasure(weights={2: 1.0}),
@@ -138,16 +148,16 @@ def test_conditioning_too_rare():
 def test_same_law_mode_repeats(ref_chain, mu_plus):
     # both sides drawn from the identical construction must pass in nearly
     # every seeded repetition
-    from rklab.batch import block_rng, make_kernel, run_epochs
+    from rklab.batch import block_rng, make_kernel, simulate
 
     kernel = make_kernel(ref_chain)
     passes = 0
     reps = 30
     for k in range(reps):
-        a = run_epochs(kernel, np.full(10_000, 0, dtype=np.int64),
-                       block_rng(5000 + k, 1, 0))["field"]
-        b = run_epochs(kernel, np.full(10_000, 0, dtype=np.int64),
-                       block_rng(5000 + k, 2, 0))["field"]
+        a = simulate(kernel, np.full(10_000, 0, dtype=np.int64),
+                     block_rng(5000 + k, 1, 0))["field"]
+        b = simulate(kernel, np.full(10_000, 0, dtype=np.int64),
+                     block_rng(5000 + k, 2, 0))["field"]
         rep = compare_fields("self", a, b, ["-1", "0", "1"],
                              [[0.25, 0.25, 0.25]], seed=k)
         passes += rep.verdict
@@ -157,16 +167,15 @@ def test_same_law_mode_repeats(ref_chain, mu_plus):
 def test_second_rk_large_t_probe(ref_chain, mu_plus):
     # at t far beyond the mean of the exponential clamp, the zero statistic
     # approaches the kernel diagonal at 0
-    from rklab.batch import block_rng, make_kernel, run_epochs_levelstop
+    from rklab.batch import block_rng, make_kernel, simulate
     from rklab.chains import hitting_profile, potential_matrix
 
     prof = hitting_profile(potential_matrix(ref_chain, 0.0))
     t = 1000.0 * prof.u00
     kernel = make_kernel(ref_chain)
     n = 100_000
-    out = run_epochs_levelstop(kernel, np.full(n, ref_chain.zero_index,
-                                               dtype=np.int64),
-                               block_rng(919, 1, 0), np.full(n, t))
+    out = simulate(kernel, np.full(n, ref_chain.zero_index, dtype=np.int64),
+                   block_rng(919, 1, 0), stop="left", levels=np.full(n, t))
     vals = out["field"][:, ref_chain.zero_index]
     se = vals.std() / np.sqrt(n)
     target = prof.u00 * -np.expm1(-t / prof.u00)  # = u00 up to 4e-435
