@@ -42,8 +42,8 @@ Record kinds (``record``):
 Every run returns ``t`` (the elapsed time when the lane ended), ``stopped``
 and ``state`` (the state it ended in); runs with a rebirth table and
 ``r_max`` also return ``epochs`` (lives used) and ``stop_epoch``; level
-stops return ``l0``, per-epoch level stops ``ep_t0`` (first hit of 0 in
-each life, from the life's start).
+stops return ``l0``, right stops ``ties``, ``track_min`` runs
+``min_index``.
 
 Each round, for the lanes alive at its start:
 
@@ -53,10 +53,20 @@ Each round, for the lanes alive at its start:
 4. draw one uniform per lane, crossed lanes included, and pick the outcome;
 5. handle deaths: stop, abandon, or rebirth with one uniform per reborn
    lane (``rng.random(#reborn)``);
-6. handle jumps: an entry into 0 stops the lane or records its first hit;
+6. handle jumps: an entry into 0 stops the lane under the ``zero`` stop;
 7. stop the lanes that reached the horizon.
 
 Only steps 1, 4 and 5 draw.  Reports at a fixed seed depend on this order.
+
+The work of a round is over the ascending index of the live lanes, carried
+from round to round (``idx = idx[alive[idx]]``), never over all N.  An
+outcome is picked from flat tables (:class:`Kernel`): one comparison per
+threshold column, then one gather from the flattened targets.  Each record
+is scattered into through one flat index (lane, life, state); untracked
+states of a ``discount`` record go to a spare column that is dropped at
+return.  Every output is bit-identical to the plain 2-D reading of this
+draw order; ``tests/test_batch.py`` pins the digests of the outputs, so an
+engine change that moves a draw or a rounding fails there.
 
 The scalar engine in :mod:`rklab.pathsim` is the readable reference; this
 module must agree with it in law (tested) and on exact path identities.
@@ -79,12 +89,22 @@ ABSORB = -2
 
 @dataclass(frozen=True)
 class Kernel:
-    """Sampling tables: total event rates and cumulative outcome rows."""
+    """Sampling tables: total event rates and the outcome tables.
+
+    Row s of ``out_cum``/``out_next`` lists the outcomes of a jump from s:
+    cumulative probabilities (the last real entry is 1.0, pads 2.0) and
+    targets (a state index, KILL or ABSORB).  The engine reads the flat
+    forms: ``cum_cols``, the first K - 1 threshold columns as contiguous
+    arrays (the last column is >= 1.0, which no uniform in [0, 1) reaches),
+    and ``next_flat``, the targets with outcome k of row s at s * K + k.
+    """
 
     chain: SymmetricChain
     total_rate: np.ndarray
-    out_cum: np.ndarray   # (n, K) cumulative outcome probabilities, pad 2.0
-    out_next: np.ndarray  # (n, K) jump target, KILL or ABSORB
+    out_cum: np.ndarray    # (n, K) cumulative outcome probabilities, pad 2.0
+    out_next: np.ndarray   # (n, K) jump target, KILL or ABSORB
+    cum_cols: tuple        # K - 1 contiguous (n,) threshold columns
+    next_flat: np.ndarray  # (n * K,) out_next in row-major order
 
     @property
     def n(self):
@@ -120,7 +140,9 @@ def make_kernel(chain: SymmetricChain) -> Kernel:
             cum[i, k] = acc
             nxt[i, k] = j
         cum[i, len(entries) - 1] = 1.0  # guard against cumsum roundoff
-    return Kernel(chain=chain, total_rate=total, out_cum=cum, out_next=nxt)
+    cols = tuple(np.ascontiguousarray(cum[:, k]) for k in range(K - 1))
+    return Kernel(chain=chain, total_rate=total, out_cum=cum, out_next=nxt,
+                  cum_cols=cols, next_flat=nxt.ravel())
 
 
 def mu_tables(chain: SymmetricChain, mu: RebirthMeasure):
@@ -132,11 +154,16 @@ def mu_tables(chain: SymmetricChain, mu: RebirthMeasure):
     return idx, cum
 
 
-def _draw_next(kernel: Kernel, states, u):
-    """Outcome per lane from one uniform: jump target, KILL or ABSORB."""
-    cum = kernel.out_cum[states]
-    k = (u[:, None] >= cum).sum(axis=1)
-    return kernel.out_next[states, k]
+def _outcome(kernel: Kernel, states, u):
+    """Outcome per lane from one uniform: jump target, KILL or ABSORB.
+
+    The outcome index is the number of thresholds of the lane's row at or
+    below u, added column by column onto the row's offset in ``next_flat``.
+    """
+    pos = states * kernel.out_cum.shape[1]
+    for col in kernel.cum_cols:
+        pos += u >= col[states]
+    return kernel.next_flat[pos]
 
 
 def _draw_mu(mu_idx, mu_cum, u):
@@ -197,6 +224,14 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     """
     if stop not in STOPS or record not in RECORDS:
         raise ValueError(f"unknown stop {stop!r} or record {record!r}")
+    level_stop = stop in ("left", "right")
+    if level_stop and levels is None:
+        raise ValueError(f"stop {stop!r} needs levels")
+    if (stop == "horizon" or record == "discount") and horizon is None:
+        raise ValueError(f"stop {stop!r} with record {record!r} needs a "
+                         "horizon")
+    if record == "discount" and (p is None or cols is None):
+        raise ValueError("the discount record needs p and cols")
     st = np.array(starts, dtype=np.int64)
     N = st.shape[0]
     n = kernel.n
@@ -206,23 +241,27 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     counted = rebirth is not None and r_max is not None
     if (per_epoch or track_min) and not counted:
         raise ValueError("per-life records need a rebirth table and r_max")
-    level_stop = stop in ("left", "right")
     alive = np.ones(N, dtype=bool)
     stopped = np.zeros(N, dtype=bool)
     t = np.zeros(N)
+    # every record is scattered into through a flat view of its array
     if counted:
         ep = np.ones(N, dtype=np.int64)
     if per_epoch:
         fields = np.zeros((N, r_max, n))
         bounds = np.full((N, r_max), np.nan)
+        fields_flat, bounds_flat = fields.reshape(-1), bounds.reshape(-1)
     elif record == "total":
         field = np.zeros((N, n))
+        field_flat = field.reshape(-1)
     else:
-        col_of = np.full(n, -1, dtype=np.int64)
-        col_of[np.asarray(cols)] = np.arange(len(cols))
-        V = np.zeros((N, len(cols)))
+        width = len(cols) + 1  # untracked states add to a spare last column
+        col_of = np.full(n, width - 1, dtype=np.int64)
+        col_of[np.asarray(cols)] = np.arange(width - 1)
+        V = np.zeros((N, width))
+        V_flat = V.reshape(-1)
         rowsum = np.zeros(N)
-    snap = ep_t0 = low = None
+    snap = low = None
     if level_stop:
         if zero is None:
             raise ValueError("level stop needs the zero state in the space")
@@ -232,19 +271,17 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
         ties = 0
         if record == "total" and rebirth is None and clamp == "strict":
             snap = np.zeros((N, n))  # field at the end of the last 0-visit
-        if per_epoch:
-            ep_t0 = np.full((N, r_max), np.nan)  # first 0-hit in each life
-            ep_t0[st == zero, 0] = 0.0
-            ep_start = np.zeros(N)
     if track_min:
         low = np.full((N, r_max), -1, dtype=np.int64)
         low[:, 0] = st
+        low_flat = low.reshape(-1)
 
-    while alive.any():
-        idx = np.nonzero(alive)[0]
+    idx = np.arange(N)  # the live lanes, ascending
+    while idx.size:
         n_round = idx.size
         s = st[idx]
         d = rng.standard_exponential(n_round) / kernel.total_rate[s]
+        keep = None
         if level_stop:
             at0 = s == zero
             after = l0[idx] + np.where(at0, d / m0, 0.0)
@@ -257,35 +294,38 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
             if ci.size:
                 t[ci] += (levels[ci] - l0[ci]) * m0
                 if per_epoch:
-                    fields[ci, ep[ci] - 1, zero] += levels[ci] - l0[ci]
+                    at = (ci * r_max + ep[ci] - 1) * n + zero
+                    fields_flat[at] += levels[ci] - l0[ci]
                 else:
-                    field[ci, zero] = levels[ci]  # exact at the crossing
+                    field_flat[ci * n + zero] = levels[ci]  # exact
                 l0[ci] = levels[ci]
                 stopped[ci] = True
                 alive[ci] = False
-            keep = ~crossing
-            idx, s, d = idx[keep], s[keep], d[keep]
-            l0[idx] = after[keep]
+                keep = ~crossing
+                idx, s, d, after = idx[keep], s[keep], d[keep], after[keep]
+            l0[idx] = after
+        # np.add.at is the unbuffered scatter-add; the lanes of a round are
+        # distinct, so it adds exactly what a fancy-indexed += would
         if record == "discount":
             a = t[idx]
             w = np.exp(-p * a) * -np.expm1(-p * np.minimum(d, horizon - a)) / p
-            rowsum[idx] += w
-            c = col_of[s]
-            tracked = c >= 0
-            V[idx[tracked], c[tracked]] += w[tracked] / m[s[tracked]]
+            np.add.at(rowsum, idx, w)
+            np.add.at(V_flat, idx * width + col_of[s], w / m[s])
         elif per_epoch:
-            fields[idx, ep[idx] - 1, s] += d / m[s]
+            np.add.at(fields_flat, (idx * r_max + ep[idx] - 1) * n + s,
+                      d / m[s])
         else:
-            field[idx, s] += d / m[s]
-        t[idx] += d
+            np.add.at(field_flat, idx * n + s, d / m[s])
+        np.add.at(t, idx, d)
         u = rng.random(n_round)  # one per lane alive at the start of the round
-        nxt = _draw_next(kernel, s, u[keep] if level_stop else u)
+        nxt = _outcome(kernel, s, u if keep is None else u[keep])
 
         dead = nxt < 0
         di = idx[dead]
+        ji, tg = idx, nxt
         if di.size:
             if per_epoch:
-                bounds[di, ep[di] - 1] = t[di]
+                bounds_flat[di * r_max + ep[di] - 1] = t[di]
             if snap is not None:
                 at0_dead = di[s[dead] == zero]
                 snap[at0_dead] = field[at0_dead]
@@ -306,37 +346,33 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
                                       rng.random(di.size))
                     if counted:
                         ep[di] += 1
-                    if ep_t0 is not None:
-                        ep_start[di] = t[di]
-                        land = di[st[di] == zero]
-                        ep_t0[land, ep[land] - 1] = 0.0
                     if track_min:
-                        low[di, ep[di] - 1] = st[di]
+                        low_flat[di * r_max + ep[di] - 1] = st[di]
+            jumped = ~dead
+            ji, tg = idx[jumped], nxt[jumped]
 
-        ji = idx[~dead]
-        tg = nxt[~dead]
         if snap is not None:
-            leaving = ji[s[~dead] == zero]
+            leaving = idx[(s == zero) & (nxt >= 0)]
             snap[leaving] = field[leaving]
         if stop == "zero" and zero is not None:
             entering = tg == zero
             ei = ji[entering]
-            stopped[ei] = True
-            alive[ei] = False
-            ji, tg = ji[~entering], tg[~entering]
-        elif ep_t0 is not None:
-            ei = ji[tg == zero]
-            fresh = ei[np.isnan(ep_t0[ei, ep[ei] - 1])]
-            ep_t0[fresh, ep[fresh] - 1] = t[fresh] - ep_start[fresh]
+            if ei.size:
+                stopped[ei] = True
+                alive[ei] = False
+                ji, tg = ji[~entering], tg[~entering]
         st[ji] = tg
         if track_min:
-            np.minimum.at(low, (ji, ep[ji] - 1), tg)
+            # one (lane, life) pair per jump in a round: gather, min, scatter
+            at = ji * r_max + ep[ji] - 1
+            low_flat[at] = np.minimum(low_flat[at], tg)
 
         if stop == "horizon":
             done = idx[t[idx] >= horizon]
             done = done[alive[done]]
             stopped[done] = True
             alive[done] = False
+        idx = idx[alive[idx]]
 
     out = {"t": t, "stopped": stopped, "state": st}
     if per_epoch:
@@ -346,7 +382,7 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
         out["field"] = field if snap is None \
             else np.where(stopped[:, None], field, snap)
     else:
-        out["V"] = V
+        out["V"] = V[:, :-1]
         out["rowsum"] = rowsum
     if counted:
         out["epochs"] = ep
@@ -355,8 +391,6 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
         out["l0"] = l0
         if stop == "right":
             out["ties"] = ties
-    if ep_t0 is not None:
-        out["ep_t0"] = ep_t0
     if track_min:
         out["min_index"] = low
     return out

@@ -684,7 +684,9 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     ))
     offs = traces["t"][kept] - traces["bounds"][kept][:, r - 2]
     tau_viol = int(np.count_nonzero(~(offs > 0.0)))
-    hit_viol = int(np.count_nonzero(np.isnan(traces["ep_t0"][kept][:, r - 1])))
+    # the stopping life crossed its level, so it held local time at 0
+    hit_viol = int(np.count_nonzero(
+        ~(traces["fields"][kept, r - 1, zero] > 0.0)))
 
     marginal = _markov(plan, "second-rk-cond", 2, kernel, ("mu",) + mu_pack,
                        ("exp", plan.p), stop="left", clamp="total")

@@ -1,12 +1,16 @@
 """Lockstep engine: agreement with the scalar engine and the exact kernels,
 and path bookkeeping."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rklab.batch as batch
 from rklab.batch import (
+    ABSORB,
     block_plan,
     block_rng,
     make_kernel,
@@ -126,8 +130,8 @@ def test_traces_inverse_lt_bookkeeping(ref_chain, mu_plus):
     lam = levels[kept]
     assert np.abs(total0 - lam).max() < 1e-12 * max(1.0, lam.max())
     assert out["ties"] == 0
-    # crossing epoch saw the zero state
-    assert not np.any(np.isnan(out["ep_t0"][kept][:, 1]))
+    # the crossing life held local time at 0
+    assert np.all(out["fields"][kept][:, 1, zi] > 0.0)
     # first epoch ended below its level
     assert np.all(out["fields"][kept][:, 0, zi] < lam)
 
@@ -288,3 +292,229 @@ def test_engine_absorb_property(case):
     _check_run(chain, out, r_max=r_max)
     # an absorption leaves from a state next to 0
     assert np.all(chain.absorb_rate[out["state"][out["stopped"]]] > 0)
+
+
+# argument checks --------------------------------------------------------------
+
+@pytest.mark.parametrize("kw", [
+    dict(stop="left"),
+    dict(stop="right", rebirth=(np.array([2]), np.array([1.0])), r_max=2),
+    dict(stop="horizon"),
+    dict(record="discount", p=1.0, cols=[0]),
+    dict(stop="horizon", record="discount", horizon=1.0, cols=[0]),
+    dict(stop="horizon", record="discount", horizon=1.0, p=1.0),
+], ids=["left-no-levels", "right-no-levels", "horizon-no-horizon",
+        "discount-no-horizon", "discount-no-p", "discount-no-cols"])
+def test_simulate_rejects_incomplete_stop_arguments(ref_chain, kw):
+    with pytest.raises(ValueError):
+        simulate(make_kernel(ref_chain), np.zeros(16, dtype=np.int64),
+                 block_rng(1, 1, 0), **kw)
+
+
+# outcome draws at the thresholds ----------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(path_chains(), path_chains(absorbing=True)))
+def test_outcome_draw_at_thresholds(chain):
+    # at each stored threshold and one ulp either side (uniforms in [0, 1)
+    # only), the flat-table draw equals the rule over the whole (n, K) rows
+    kernel = make_kernel(chain)
+    top = np.nextafter(1.0, 0.0)
+    states, us = [], []
+    for s, row in enumerate(kernel.out_cum):
+        for u in [0.0, top] + [v for c in row for v in
+                               (np.nextafter(c, -np.inf), c,
+                                np.nextafter(c, np.inf))]:
+            if 0.0 <= u < 1.0:
+                states.append(s)
+                us.append(u)
+    s = np.array(states, dtype=np.int64)
+    u = np.array(us)
+    k = (u[:, None] >= kernel.out_cum[s]).sum(1)
+    expected = kernel.out_next[s, k]
+    assert np.array_equal(batch._outcome(kernel, s, u), expected)
+    assert (expected == ABSORB).any() == (chain.absorb_rate > 0).any()
+
+
+# the draw stream, pinned ------------------------------------------------------
+
+def _stream_shapes():
+    """(id, chain, starts, keyword arguments) of the pinned engine calls."""
+    ref = reference_chain()
+    grid = birth_death_chain(16, 8.0)
+    absorbed = absorbed_path_chain()
+    n = 512
+    mixed = np.arange(n, dtype=np.int64) % 3
+    rb = mu_tables(ref, RebirthMeasure(weights={-1: 0.3, 1: 0.7}))
+    rb_grid = mu_tables(grid, RebirthMeasure(weights={4: 0.5, 12: 0.5}))
+    rb_abs = mu_tables(absorbed, RebirthMeasure(weights={2: 1.0}))
+    levels = block_rng(5, 0, 0).exponential(0.7, n)
+    zeros = np.full(n, ref.zero_index, dtype=np.int64)
+    return [
+        ("death-total", ref, mixed, {}),
+        ("death-epochs", ref, mixed,
+         dict(record="epochs", rebirth=rb, r_max=3)),
+        ("zero-total", ref, mixed, dict(stop="zero")),
+        ("zero-epochs", ref, mixed,
+         dict(stop="zero", record="epochs", rebirth=rb, r_max=3)),
+        ("zero-epochs-min", grid, np.full(n, 8, dtype=np.int64),
+         dict(stop="zero", record="epochs", rebirth=rb_grid, r_max=2,
+              track_min=True)),
+        ("absorb-total", absorbed, np.arange(n, dtype=np.int64) % 4,
+         dict(stop="absorb")),
+        ("absorb-epochs", absorbed, np.full(n, 1, dtype=np.int64),
+         dict(stop="absorb", record="epochs", rebirth=rb_abs, r_max=3)),
+        ("left-strict", ref, zeros, dict(stop="left", levels=levels)),
+        ("left-total-rebirth", ref, mixed,
+         dict(stop="left", levels=levels, clamp="total", rebirth=rb,
+              r_max=50)),
+        ("right-total-rebirth", ref, mixed,
+         dict(stop="right", levels=levels, rebirth=rb, r_max=50)),
+        ("right-epochs", ref, mixed,
+         dict(stop="right", record="epochs", levels=levels, rebirth=rb,
+              r_max=2)),
+        ("horizon-total", ref, mixed,
+         dict(stop="horizon", rebirth=rb, horizon=2.0)),
+        ("horizon-discount", ref, mixed,
+         dict(stop="horizon", record="discount", rebirth=rb, horizon=3.0,
+              p=1.0, cols=[0, 1, 2])),
+        ("horizon-discount-grid", grid, np.full(n, 8, dtype=np.int64),
+         dict(stop="horizon", record="discount", horizon=1.5, p=0.5,
+              cols=[4, 8])),
+    ]
+
+
+def _digest(value):
+    a = np.ascontiguousarray(np.asarray(value))
+    h = hashlib.sha256(a.dtype.str.encode() + str(a.shape).encode())
+    h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of every output of the calls above.  They fix the draw
+# order documented in rklab.batch: an engine change that keeps it reproduces
+# them.  They also depend on numpy's PCG64 streams and, for the discount
+# shapes, on the platform's exp/expm1.
+_STREAM_DIGESTS = {
+    "death-total": {
+        "t": "175b51e62b6d8c03",
+        "stopped": "f3c6635d8c166cdc",
+        "state": "9d2b0e50e556873f",
+        "field": "958a82753f6f9805",
+    },
+    "death-epochs": {
+        "t": "5fa27b90b8fb2c18",
+        "stopped": "f3c6635d8c166cdc",
+        "state": "59afd1c62b655f8c",
+        "fields": "74ab6f602b3e82e8",
+        "bounds": "30513046da99a208",
+        "epochs": "57122712c8ec06c8",
+        "stop_epoch": "e4249264cfe8930d",
+    },
+    "zero-total": {
+        "t": "1e82330bdf5016aa",
+        "stopped": "d9b0668dac2e4548",
+        "state": "d7294c6b43face7e",
+        "field": "2cb3abdf5c5873ce",
+    },
+    "zero-epochs": {
+        "t": "d1aec185d8568240",
+        "stopped": "7914eb0bfb247abe",
+        "state": "40b84eec80115d42",
+        "fields": "360adc5346bddaa8",
+        "bounds": "5a35e8d583f49c01",
+        "epochs": "0e1e23cdafca52ed",
+        "stop_epoch": "b3624639d06fb239",
+    },
+    "zero-epochs-min": {
+        "t": "8d6e96fd4c4f1699",
+        "stopped": "2d850ee94b15d877",
+        "state": "8882b905db71b857",
+        "fields": "3b14cf0139566b82",
+        "bounds": "80449ee1c47bccc7",
+        "epochs": "b5ba024debf7aaa6",
+        "stop_epoch": "4784a83bb2dd4b82",
+        "min_index": "3c4b86a5f116762c",
+    },
+    "absorb-total": {
+        "t": "b5826f1d9963734f",
+        "stopped": "ed6e17ae1a967939",
+        "state": "32ae1c6666cd8252",
+        "field": "404f8f5125d8de55",
+    },
+    "absorb-epochs": {
+        "t": "07695ad0151f3e42",
+        "stopped": "b2ba5ad5a6e35f08",
+        "state": "8c9b1478e00617e2",
+        "fields": "1c9a93e281fc126a",
+        "bounds": "5129f4595948218e",
+        "epochs": "1bfe66c4c1a1d7cd",
+        "stop_epoch": "83da538ccfebe69c",
+    },
+    "left-strict": {
+        "t": "72e475dbb1d2583c",
+        "stopped": "a78fd6c5bc951455",
+        "state": "ef7f28efdac44c7b",
+        "field": "d9f310a043bc95e6",
+        "l0": "95a26364d72a8b3e",
+    },
+    "left-total-rebirth": {
+        "t": "b2ca6be6f107d247",
+        "stopped": "bfeba188e703ab45",
+        "state": "5e5dab7b61ae2a9a",
+        "field": "6bf1a43f5fb3978a",
+        "epochs": "fcd5a7841535f433",
+        "stop_epoch": "fcd5a7841535f433",
+        "l0": "c769a10b9a7d6270",
+    },
+    "right-total-rebirth": {
+        "t": "b2ca6be6f107d247",
+        "stopped": "bfeba188e703ab45",
+        "state": "5e5dab7b61ae2a9a",
+        "field": "6bf1a43f5fb3978a",
+        "epochs": "fcd5a7841535f433",
+        "stop_epoch": "fcd5a7841535f433",
+        "l0": "c769a10b9a7d6270",
+        "ties": "ba553f9413e2fef9",
+    },
+    "right-epochs": {
+        "t": "9463406eb334d3e7",
+        "stopped": "205121cced582df1",
+        "state": "45d4f1624a2ec316",
+        "fields": "c16bc1c335afe48d",
+        "bounds": "6c8792c89e46c7eb",
+        "epochs": "be0dd82d2e0110fc",
+        "stop_epoch": "7b8e4e06586172f7",
+        "l0": "2904e5b6364dd5fa",
+        "ties": "ba553f9413e2fef9",
+    },
+    "horizon-total": {
+        "t": "bb14aed72da5ee22",
+        "stopped": "bfeba188e703ab45",
+        "state": "a1d6a44e19411c3c",
+        "field": "ea26b0cd42d65204",
+    },
+    "horizon-discount": {
+        "t": "9416486bd0b0184b",
+        "stopped": "bfeba188e703ab45",
+        "state": "b6f56de99a997f02",
+        "V": "240b68b9cdd955d9",
+        "rowsum": "75cd159be3aa7a5b",
+    },
+    "horizon-discount-grid": {
+        "t": "4f75fa5cb61bc386",
+        "stopped": "999f4a7be7f247c0",
+        "state": "1dacb81ca1b06a09",
+        "V": "e9bd44d4b81d4b24",
+        "rowsum": "2e499dec029f724c",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", _stream_shapes(), ids=lambda c: c[0])
+def test_engine_stream_pinned(shape):
+    name, chain, starts, kw = shape
+    out = simulate(make_kernel(chain), starts, block_rng(20261018, 7, 0),
+                   **kw)
+    pinned = _STREAM_DIGESTS[name]
+    assert {key: _digest(out[key]) for key in pinned} == pinned
