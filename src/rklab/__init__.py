@@ -1,9 +1,9 @@
 """rklab: local-time identity verification lab for rebirthed Markov chains.
 
-Finite symmetric chains with killing, exact potential kernels, event-level
-path simulation with local-time fields, Gaussian couplings of the hitting
-and inverse-local-time identities, and the statistical harnesses that
-compare the two sides.
+Finite symmetric chains with killing, exact potential kernels, one
+vectorised path engine with local-time fields (:mod:`rklab.batch`),
+Gaussian couplings of the hitting and inverse-local-time identities, and
+the statistical harnesses that compare the two sides.
 """
 
 from .chains import (
@@ -19,37 +19,11 @@ from .chains import (
     killed_at_zero_potential,
     path_chain,
     potential_matrix,
-    psd_check,
     rebirthed_potential,
     reference_chain,
-    scale_minimum_kernel,
-    zero_killed_green,
 )
-from .gaussfield import (
-    CompositeFieldSample,
-    FieldFactor,
-    GaussianFieldSample,
-    cross_term_expand,
-    factor_covariance,
-    first_rk_composite,
-    sample_field,
-    second_rk_composites,
-)
+from .gaussfield import FieldFactor, factor_covariance
 from .harnesses import REGISTRY, TestPlan
-from .pathsim import (
-    DeathCause,
-    EpochRecord,
-    Mode,
-    RebirthTrace,
-    StopKind,
-    StopRule,
-    decompose_check,
-    dump_trace,
-    f_field,
-    inverse_local_time,
-    run_epoch,
-    run_rebirthed,
-)
 from .stats import ComparisonReport, StatRow
 
 __version__ = "0.1.0"

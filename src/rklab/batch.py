@@ -68,8 +68,12 @@ return.  Every output is bit-identical to the plain 2-D reading of this
 draw order; ``tests/test_batch.py`` pins the digests of the outputs, so an
 engine change that moves a draw or a rounding fails there.
 
-The scalar engine in :mod:`rklab.pathsim` is the readable reference; this
-module must agree with it in law (tested) and on exact path identities.
+This is the only path engine.  Its oracles are exact laws: the mean field
+of a life is a row of its Green kernel G (``u0``, or the killed-at-0 kernel
+for a life stopped at 0), and Kac's moment formula
+E_y[exp(-<lambda, L>)] = ((I + G Lambda)^-1 1)_y gives the law of the whole
+field.  The tests check both, and the occupation identity and the exact
+level at 0 under every stop.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ here:
 * ``U_P``        resolvent density  u_p(x,y) = [((p+beta)I - Q)^-1]_{xy} / m_y
 * ``W_P``        density of the process rebirthed from a measure mu
 * ``U_TILDE_0``  density of the chain additionally killed on first hitting 0
-* ``U_T0_SCALE`` min-of-scale kernel  min(s(x), s(y))
 
 Densities are taken with respect to m (the resolvent is divided on the right
 by the diagonal of m), so a nonuniform m changes the tables.
@@ -30,7 +29,6 @@ import numpy as np
 from .errors import (
     DetailedBalanceViolation,
     InvariantError,
-    NonMonotoneScale,
     NonPositiveMeasure,
     NonPositiveP,
     SingularResolvent,
@@ -49,7 +47,6 @@ class Kind(enum.Enum):
     U_P = "U_P"
     W_P = "W_P"
     U_TILDE_0 = "U_TILDE_0"
-    U_T0_SCALE = "U_T0_SCALE"
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ class RebirthMeasure:
 
     weights: dict
 
-    def validate(self, chain: SymmetricChain, strict_separation: bool = False):
+    def validate(self, chain: SymmetricChain):
         total = 0.0
         for x, w in self.weights.items():
             if w < 0:
@@ -146,14 +143,6 @@ class RebirthMeasure:
             total += w
         if abs(total - 1.0) > 1e-9:
             raise InvariantError(f"rebirth weights sum to {total!r}, expected 1")
-        if strict_separation:
-            zi = chain.zero_index
-            if zi is not None:
-                for x, w in self.weights.items():
-                    if w > 0 and chain.generator[chain.state_index(x), zi] > 0:
-                        raise InvariantError(
-                            f"strict separation: {x!r} neighbours state 0"
-                        )
 
     def vector(self, chain: SymmetricChain) -> np.ndarray:
         v = np.zeros(chain.n_states)
@@ -372,69 +361,6 @@ def hitting_profile(upot: PotentialMatrix) -> HittingProfile:
         u00=float(u00),
         states=upot.states,
         index=dict(upot.index),
-    )
-
-
-def scale_minimum_kernel(
-    scale: np.ndarray, states: tuple, zero_state=0
-) -> PotentialMatrix:
-    """min(s(x), s(y)) table for a strictly increasing scale over states."""
-    s = np.asarray(scale, dtype=float)
-    if len(s) != len(states):
-        raise InvariantError("scale vector length must match state list")
-    if s.min() < 0:
-        raise NonMonotoneScale("scale values must be nonnegative")
-    if len(s) > 1 and not np.all(np.diff(s) > 0) and np.any(s != 0.0):
-        raise NonMonotoneScale("scale must increase strictly along the state order")
-    if zero_state in states and s[list(states).index(zero_state)] != 0.0:
-        raise NonMonotoneScale("scale must vanish at the zero state")
-    table = np.minimum.outer(s, s)
-    return PotentialMatrix(
-        kind=Kind.U_T0_SCALE,
-        order=0.0,
-        table=table,
-        zero_state=zero_state,
-        states=tuple(states),
-        index={x: i for i, x in enumerate(states)},
-    )
-
-
-def psd_check(pot: PotentialMatrix) -> dict:
-    """Smallest eigenvalue of the symmetrised table and the symmetry defect."""
-    t = pot.table
-    sym = 0.5 * (t + t.T)
-    return {
-        "min_eigenvalue": float(np.linalg.eigvalsh(sym).min()),
-        "symmetric_defect": float(np.abs(t - t.T).max()),
-    }
-
-
-def zero_killed_green(chain: SymmetricChain) -> PotentialMatrix:
-    """Green table of the *unkilled* chain absorbed at 0 (table row/col of 0 vanish).
-
-    Inverse of -Q restricted off the zero state; for a birth-death chain this
-    equals min(s(x), s(y)) for the chain's scale function.  Used to pin the
-    scale structure of grid surrogates before diagnostics run on them.
-    """
-    if not chain.zero_accessible:
-        raise InvariantError("zero_killed_green needs the zero state in the space")
-    z = chain.zero_index
-    keep = np.array([i for i in range(chain.n_states) if i != z])
-    A = -chain.generator[np.ix_(keep, keep)]
-    try:
-        R = np.linalg.solve(A, np.eye(len(keep)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(str(exc)) from exc
-    table = np.zeros((chain.n_states, chain.n_states))
-    table[np.ix_(keep, keep)] = R / chain.measure[keep][None, :]
-    table = 0.5 * (table + table.T)
-    return PotentialMatrix(
-        kind=Kind.U_T0_SCALE,
-        order=0.0,
-        table=table,
-        zero_state=chain.zero_state,
-        states=chain.states,
-        index=dict(chain.index),
     )
 
 

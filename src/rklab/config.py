@@ -45,6 +45,13 @@ def _num(value, path, kind=float):
             from None
 
 
+def _seq(value, path) -> tuple:
+    """``tuple(value)`` for a list, or a SchemaError naming the key path."""
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{path}: expected a list, got {value!r}")
+    return tuple(value)
+
+
 def check_seed(seed: int) -> None:
     """Random streams are seeded from nonnegative integers only."""
     if seed < 0:
@@ -86,14 +93,17 @@ class ExperimentConfig:
 
     def test_plan(self) -> TestPlan:
         p = self.plan
+        probes = _seq(p.get("laplace_probes", ()), "plan.laplace_probes")
         kwargs = dict(
             chain=self.chain, mu=self.mu, start=self.start,
             replicates=_num(p.get("replicates", 200_000), "plan.replicates",
                             int),
             seed=self.seed,
-            test_points=tuple(p.get("test_points", ())),
-            laplace_probes=tuple(tuple(v) for v in p.get("laplace_probes", ())),
-            moment_orders=tuple(p.get("moment_orders", (1, 2))),
+            test_points=_seq(p.get("test_points", ()), "plan.test_points"),
+            laplace_probes=tuple(_seq(v, f"plan.laplace_probes[{i}]")
+                                 for i, v in enumerate(probes)),
+            moment_orders=_seq(p.get("moment_orders", (1, 2)),
+                               "plan.moment_orders"),
             workers=self.workers,
             defect=p.get("defect"),
         )
@@ -114,7 +124,8 @@ class ExperimentConfig:
             stop_kind=p.get("stop", "zero"),
             level=_num(p["level"], "plan.level") if "level" in p else None,
             d=p.get("d"),
-            interval=tuple(p["interval"]) if "interval" in p else None,
+            interval=_seq(p["interval"], "plan.interval")
+            if "interval" in p else None,
             phi_kind=p.get("phi_kind",
                            "log" if self.harness == "modulus-uniform"
                            else "loglog"),
@@ -125,7 +136,8 @@ class ExperimentConfig:
     def scales(self):
         if "scales" not in self.plan:
             raise InvariantError("this harness needs a scales list")
-        return tuple(_num(v, "plan.scales") for v in self.plan["scales"])
+        return tuple(_num(v, "plan.scales")
+                     for v in _seq(self.plan["scales"], "plan.scales"))
 
 
 def _require_mapping(obj, path):
@@ -159,7 +171,7 @@ def _build_chain(doc) -> SymmetricChain:
         if "states" not in doc:
             raise SchemaError("chain: path needs a states list")
         return path_chain(
-            tuple(doc["states"]),
+            _seq(doc["states"], "chain.states"),
             rate=_num(doc.get("rate", 1.0), "chain.rate"),
             measure=doc.get("measure", 1.0), kill_rate=kill, zero_state=zero,
         )
@@ -168,12 +180,12 @@ def _build_chain(doc) -> SymmetricChain:
             if key not in doc:
                 raise SchemaError(f"chain: explicit needs {key!r}")
         rates = {}
-        for triple in doc["rates"]:
+        for triple in _seq(doc["rates"], "chain.rates"):
             if not isinstance(triple, (list, tuple)) or len(triple) != 3:
                 raise SchemaError("chain.rates: entries must be [from, to, rate]")
             rates[(triple[0], triple[1])] = _num(triple[2], "chain.rates")
         measure = doc["measure"]
-        states = tuple(doc["states"])
+        states = _seq(doc["states"], "chain.states")
         if not isinstance(measure, dict):
             measure = {x: _num(measure, "chain.measure") for x in states}
         spec = ChainSpec(

@@ -41,18 +41,10 @@ class ZeroDiagonal(RKLabError):
     """Kernel diagonal at the distinguished state vanished (defensive)."""
 
 
-class NonMonotoneScale(RKLabError):
-    """Scale values must increase along the ordered state list."""
-
-
 # Gaussian factorisation --------------------------------------------------
 
 class NotPSD(RKLabError):
     """Covariance has a significantly negative eigenvalue."""
-
-
-class StrictRankDeficient(RKLabError):
-    """Strict factorisation policy hit a rank-deficient covariance."""
 
 
 class ZeroShift(RKLabError):
@@ -63,14 +55,6 @@ class ZeroShift(RKLabError):
 
 class EpochBudgetExceeded(RKLabError):
     """A rebirthed run exceeded the configured epoch budget before stopping."""
-
-
-class LevelExceedsTotal(RKLabError):
-    """Right-continuous inverse requested above the total local time."""
-
-
-class DecompositionMismatch(RKLabError):
-    """A trace field disagrees with its epoch-wise reconstruction."""
 
 
 # statistics --------------------------------------------------------------

@@ -179,7 +179,7 @@ def _blk_gauss_square(factor, size, seed, tag, b):
 
 def _blk_gauss_first(r, s, u0f, utf, y_idx, mu_vec, size, seed, tag, b):
     rng = block_rng(seed, tag, b)
-    fields, weights, _ = first_rk_composite_block(
+    fields, weights = first_rk_composite_block(
         r, s, u0f, utf, y_idx, mu_vec, size, rng
     )
     return {"field": fields, "weight": weights}
@@ -188,7 +188,7 @@ def _blk_gauss_first(r, s, u0f, utf, y_idx, mu_vec, size, seed, tag, b):
 def _blk_gauss_second(r, s, t, profile, u0f, utf, y_idx, mu_vec, size, seed,
                       tag, b):
     rng = block_rng(seed, tag, b)
-    g_hat, g_bar, weights, rho, _ = second_rk_composites_block(
+    g_hat, g_bar, weights, rho = second_rk_composites_block(
         r, s, t, profile, u0f, utf, y_idx, mu_vec, size, rng
     )
     return {"g_hat": g_hat, "g_bar": g_bar, "weight": weights, "rho": rho}

@@ -142,19 +142,6 @@ def _mean_se(f: np.ndarray, weights: np.ndarray | None):
     return est, se
 
 
-def statistic_labels(point_labels, probes, moment_orders=(1, 2)):
-    labels = []
-    K = len(point_labels)
-    if 1 in moment_orders:
-        labels += [f"mean[{point_labels[k]}]" for k in range(K)]
-    if 2 in moment_orders:
-        for i in range(K):
-            for j in range(i, K):
-                labels.append(f"m2[{point_labels[i]},{point_labels[j]}]")
-    labels += [f"laplace[{i}]" for i in range(len(probes))]
-    return labels
-
-
 def side_estimates(values: np.ndarray, point_labels, probes,
                    weights: np.ndarray | None = None, moment_orders=(1, 2)):
     """(label, estimate, se) for every statistic of one ensemble.

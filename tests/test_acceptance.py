@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from rklab import cli
-from rklab.batch import block_rng, make_kernel
+from rklab.batch import block_rng, make_kernel, mu_tables, simulate
 from rklab.chains import (
     RebirthMeasure,
     hitting_profile,
     killed_at_zero_potential,
     potential_matrix,
-    psd_check,
     rebirthed_potential,
 )
 from rklab.diagnostics import (
@@ -31,12 +30,6 @@ from rklab.diagnostics import (
 )
 from rklab.gaussfield import factor_covariance, second_rk_composites_block
 from rklab.harnesses import REGISTRY, TestPlan
-from rklab.pathsim import (
-    StopKind,
-    StopRule,
-    decompose_check,
-    run_rebirthed,
-)
 from rklab.reporting import write_sweep_csv
 from rklab.selftest import _ref_plan, absorbed_path_chain, reduction_chain
 
@@ -87,39 +80,56 @@ def test_criterion_02_structural_invariants(ref_chain, mu_plus,
             ok &= np.abs(w.table @ chain.measure - 1.0 / p).max() < 1e-10
         z = chain.zero_index
         ok &= np.all(ut.table[z, :] == 0.0) and np.all(ut.table[:, z] == 0.0)
-        ok &= psd_check(u0)["min_eigenvalue"] > 0.0
-        ok &= psd_check(ut)["min_eigenvalue"] > -1e-10
+        ok &= np.linalg.eigvalsh(u0.table).min() > 0.0
+        ok &= np.linalg.eigvalsh(ut.table).min() > -1e-10
         A = chain.kill_rate * np.eye(chain.n_states) - chain.generator
         resid = A @ prof.h
         off = [i for i in range(chain.n_states) if i != z]
         ok &= np.abs(resid[off]).max() < 1e-10
 
-    # exact path identities on 1e4 random traces across every stop rule
-    rng = np.random.default_rng(SEED)
+    # exact path identities on 10^4 rebirthed traces, one run per stop
     absorbed = absorbed_path_chain()
-    mu_abs = RebirthMeasure(weights={2: 1.0})
-    plans = (
-        [(ref_chain, mu_plus, -1, StopRule(StopKind.HIT_ZERO))] * 4000
-        + [(absorbed, mu_abs, -1, StopRule(StopKind.HIT_ZERO_LEFT))] * 2000
-        + [(ref_chain, mu_plus, -1,
-            StopRule(StopKind.INVERSE_LT_FIXED, level=0.6))] * 2000
-        + [(ref_chain, mu_plus, -1,
-            StopRule(StopKind.INVERSE_LT_EXP, rate=1.0))] * 2000
-    )
-    occupation_worst = 0.0
-    for chain, mu, start, stop in plans:
-        tr = run_rebirthed(chain, mu, start, stop, rng)
-        decompose_check(tr)  # raises on any entry beyond 1e-12
-        for ep in tr.epochs:
-            occupation_worst = max(
-                occupation_worst,
-                ep.occupation_defect() / max(1.0, ep.zeta),
-            )
-    ok &= occupation_worst < 1e-12
+    levels = block_rng(SEED, 5, 0).exponential(1.0, 2000)
+    runs = [
+        (ref_chain, mu_plus, 4000, dict(stop="zero")),
+        (absorbed, RebirthMeasure(weights={2: 1.0}), 2000,
+         dict(stop="absorb")),
+        (ref_chain, mu_plus, 2000, dict(stop="left", levels=0.6)),
+        (ref_chain, mu_plus, 2000, dict(stop="right", levels=levels)),
+    ]
+    occupation_worst = level_worst = 0.0
+    for k, (chain, mu, n, kw) in enumerate(runs):
+        out = simulate(make_kernel(chain),
+                       np.full(n, chain.state_index(-1), dtype=np.int64),
+                       block_rng(SEED, 1, k), record="epochs",
+                       rebirth=mu_tables(chain, mu), r_max=50, **kw)
+        # each life's m-weighted field is its duration: lives run from one
+        # death to the next, and the last one ends when the lane ends
+        lanes = np.arange(n)
+        ends = out["bounds"].copy()
+        ends[lanes, out["epochs"] - 1] = out["t"]
+        begins = np.hstack([np.zeros((n, 1)), ends[:, :-1]])
+        used = np.arange(50)[None, :] < out["epochs"][:, None]
+        occ = out["fields"] @ chain.measure
+        ok &= np.all(occ[~used] == 0.0)
+        dur = (ends - begins)[used]
+        occupation_worst = max(occupation_worst, float(
+            (np.abs(occ[used] - dur) / np.maximum(1.0, dur)).max()))
+        if "levels" in kw:
+            # a lane stopped by its level holds exactly that local time at 0
+            hit = out["stopped"]
+            lam = np.broadcast_to(kw["levels"], (n,))[hit]
+            ok &= np.array_equal(out["l0"][hit], lam)
+            at0 = out["fields"][hit][:, :, chain.zero_index].sum(axis=1)
+            level_worst = max(level_worst, float(
+                (np.abs(at0 - lam) / np.maximum(1.0, lam)).max()))
+    ok &= occupation_worst < 1e-12 and level_worst < 1e-12
     _verdict_line(2, ok,
-                  "row integrals, kernels, harmonicity at 1e-10; occupation "
-                  f"and decomposition exact on 10^4 traces "
-                  f"(worst occupation defect {occupation_worst:.2e})")
+                  "row integrals, kernels, harmonicity at 1e-10; per-life "
+                  "occupation and the level at 0 exact on 10^4 traces under "
+                  "the zero, absorb, left and right stops (worst occupation "
+                  f"defect {occupation_worst:.2e}, level defect "
+                  f"{level_worst:.2e})")
 
 
 def test_criterion_03_normalization(ref_chain):
@@ -165,7 +175,7 @@ def test_criterion_05_second_rk(ref_chain, mu_plus):
     # t = 0 degeneracy is sample-exact with shared constituents
     u0 = potential_matrix(ref_chain, 0.0)
     ut = killed_at_zero_potential(u0)
-    g_hat, g_bar, _, _, _ = second_rk_composites_block(
+    g_hat, g_bar, _, _ = second_rk_composites_block(
         2, 1.0, 0.0, hitting_profile(u0), factor_covariance(u0),
         factor_covariance(ut), 0, mu_plus.vector(ref_chain), 50_000,
         block_rng(SEED, 5000, 0),

@@ -1,5 +1,5 @@
-"""Lockstep engine: agreement with the scalar engine and the exact kernels,
-and path bookkeeping."""
+"""Lockstep engine: agreement with the exact kernels and Kac's law, and path
+bookkeeping."""
 
 import hashlib
 
@@ -25,7 +25,6 @@ from rklab.chains import (
     potential_matrix,
     reference_chain,
 )
-from rklab.pathsim import Mode, run_epoch
 from rklab.selftest import absorbed_path_chain
 from strategies import path_chains
 
@@ -57,31 +56,6 @@ def test_batch_epochs_match_kernel(ref_chain):
     # occupation identity holds for the bulk engine too
     elapsed = out["field"] @ ref_chain.measure
     assert np.abs(elapsed - out["t"]).max() < 1e-10
-
-
-def test_batch_scalar_two_sample(ref_chain):
-    # same law from both engines: killed-life hit fraction and field moments
-    k = make_kernel(ref_chain)
-    n = 30_000
-    out = simulate(k, np.full(n, 0, dtype=np.int64), block_rng(4, 1, 0),
-                   stop="zero")
-    hit_batch = out["stopped"]
-    rng = np.random.default_rng(21)
-    fields = []
-    hits = []
-    for _ in range(n // 3):
-        rec = run_epoch(ref_chain, -1, Mode.KILL_ONLY, rng)
-        hits.append(rec.hit_zero_at is not None)
-        fields.append(rec.local_field_at_t0 if rec.hit_zero_at is not None
-                      else rec.local_field_total)
-    p1, p2 = hit_batch.mean(), np.mean(hits)
-    se = np.sqrt(p1 * (1 - p1) / n + np.var(hits) / len(hits))
-    assert abs(p1 - p2) < 4 * se
-    f_scalar = np.array(fields)
-    f_batch = out["field"]
-    diff = f_batch.mean(0) - f_scalar.mean(0)
-    se = np.sqrt(f_batch.var(0) / n + f_scalar.var(0) / len(fields))
-    assert np.all(np.abs(diff) <= 4 * se)
 
 
 def test_levelstop_zero_entry_bookkeeping(ref_chain):
@@ -208,6 +182,32 @@ def test_left_level_life_matches_clamp_mean(chain):
                        block_rng(32, 1, b), stop="left",
                        levels=t)["field"] for b in range(10)]
     assert _mean_within(np.concatenate(fields), target)
+
+
+def _kac(G, lam):
+    """Kac's moment formula for one life with Green kernel G:
+    E_y[exp(-<lam, L>)] = ((I + G Lambda)^-1 1)_y for every y."""
+    return np.linalg.solve(np.eye(len(lam)) + G * lam[None, :],
+                           np.ones(len(lam)))
+
+
+def test_life_matches_kac_law():
+    # the Laplace transform of a whole life's field, in law: u0 for a life
+    # run to its death, the killed-at-0 kernel for a life stopped at 0.
+    # Both starts reach 0 often enough that swapping the kernels fails.
+    for chain, start in [(reference_chain(), -1),
+                         (birth_death_chain(16, 8.0), 4)]:
+        u0 = potential_matrix(chain, 0.0)
+        lam = np.linspace(0.25, 1.0, chain.n_states)
+        y = chain.state_index(start)
+        for stop, G in [("death", u0.table),
+                        ("zero", killed_at_zero_potential(u0).table)]:
+            out = simulate(make_kernel(chain),
+                           np.full(200_000, y, dtype=np.int64),
+                           block_rng(33, 1, 0), stop=stop)
+            weight = np.exp(-out["field"] @ lam)[:, None]
+            assert _mean_within(weight, _kac(G, lam)[y]), (chain.n_states,
+                                                           stop)
 
 
 # bookkeeping on random chains -------------------------------------------------

@@ -156,28 +156,57 @@ seed: 11
     read_png(tmp_path / "lil_ratio.png")
 
 
-@pytest.mark.parametrize("edit,extra", [
-    (None, ["--seed", "-3"]),
-    ("seed: 4242\nworkers: -2", []),
-    (None, ["--workers", "-2"]),
-    ("  s: 1.0\n  z_max: -1", []),
-    ("  s: 1.0\n  z_max: 0", []),
-    ("  s: 1.0\n  z_max: .inf", []),
-    ("seed: -3", []),
-    ("  s: abc", []),
-    ("seed: abc", []),
-    (None, ["--replicates", "0"]),
+def _seed_edit(text):
+    return {"seed: 4242": text}
+
+
+def _plan_edit(text):
+    return {"  s: 1.0": text}
+
+
+@pytest.mark.parametrize("edits,extra,key", [
+    (None, ["--seed", "-3"], None),
+    (_seed_edit("seed: 4242\nworkers: -2"), [], None),
+    (None, ["--workers", "-2"], None),
+    (_plan_edit("  s: 1.0\n  z_max: -1"), [], None),
+    (_plan_edit("  s: 1.0\n  z_max: 0"), [], None),
+    (_plan_edit("  s: 1.0\n  z_max: .inf"), [], None),
+    (_seed_edit("seed: -3"), [], None),
+    (_plan_edit("  s: abc"), [], None),
+    (_seed_edit("seed: abc"), [], None),
+    (None, ["--replicates", "0"], None),
+    # list-typed keys given a scalar or a string
+    ({"  test_points: [-1, 0, 1]": "  test_points: 5"}, [],
+     "plan.test_points"),
+    ({"  test_points: [-1, 0, 1]": '  test_points: "-1"'}, [],
+     "plan.test_points"),
+    (_plan_edit("  s: 1.0\n  laplace_probes: [1.0, 2.0]"), [],
+     "plan.laplace_probes[0]"),
+    (_plan_edit("  s: 1.0\n  laplace_probes: 5"), [], "plan.laplace_probes"),
+    (_plan_edit("  s: 1.0\n  moment_orders: 5"), [], "plan.moment_orders"),
+    ({"harness: eisenbaum": "harness: reduction",
+      "  s: 1.0": "  scales: 0.25"}, [], "plan.scales"),
+    ({"harness: eisenbaum": "harness: modulus-uniform",
+      "  s: 1.0": "  scales: [0.25]\n  interval: 5"}, [], "plan.interval"),
+    ({"  states: [-1, 0, 1]": "  states: 5"}, [], "chain.states"),
+    ({"  kind: path": "  kind: explicit", "  rate: 1.0": "  rates: 5"}, [],
+     "chain.rates"),
 ], ids=["cli-seed", "yaml-workers", "cli-workers", "z-max-negative",
         "z-max-zero", "z-max-inf", "yaml-seed", "plan-s-not-a-number",
-        "yaml-seed-not-a-number", "cli-replicates-zero"])
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, edit, extra):
+        "yaml-seed-not-a-number", "cli-replicates-zero",
+        "test-points-scalar", "test-points-string", "laplace-probe-scalar",
+        "laplace-probes-scalar", "moment-orders-scalar", "scales-scalar",
+        "interval-scalar", "chain-states-scalar", "chain-rates-scalar"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, edits, extra,
+                                         key):
     text = SMALL_EISENBAUM
-    if edit is not None:
-        anchor = "seed: 4242" if edit.startswith("seed") else "  s: 1.0"
-        text = text.replace(anchor, edit)
+    for old, new in (edits or {}).items():
+        assert old in text
+        text = text.replace(old, new)
     cfg_path = tmp_path / "e.yaml"
     cfg_path.write_text(text)
     capsys.readouterr()
     assert cli.main(["run", str(cfg_path), "--no-figures"] + extra) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert key is None or f"{key}: expected a list" in err[0], err

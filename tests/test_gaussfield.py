@@ -13,17 +13,14 @@ from rklab.chains import (
     hitting_profile,
     killed_at_zero_potential,
     potential_matrix,
-    scale_minimum_kernel,
 )
-from rklab.errors import NotPSD, StrictRankDeficient, ZeroShift
+from rklab.errors import NotPSD, ZeroShift
 from rklab.gaussfield import (
+    PIVOT_RTOL,
     _pivoted_cholesky,
-    cross_term_expand,
     factor_covariance,
-    first_rk_composite,
     first_rk_composite_block,
     sample_block,
-    sample_field,
     second_rk_composites_block,
 )
 from rklab.harnesses import REGISTRY, TestPlan, _readout
@@ -42,7 +39,6 @@ def test_identity_factor():
     f = factor_covariance(_pot(np.eye(4)))
     assert f.rank == 4
     assert np.allclose(f.root @ f.root.T, np.eye(4))
-    assert f.jitter_used == 0.0
 
 
 def test_rank_deficient_pivoting(ref_chain, rng):
@@ -52,8 +48,6 @@ def test_rank_deficient_pivoting(ref_chain, rng):
     z = ref_chain.zero_index
     samples = sample_block(f, 500, rng)
     assert np.all(samples[:, z] == 0.0)  # exact zero at the killed state
-    with pytest.raises(StrictRankDeficient):
-        factor_covariance(ut, policy="strict")
 
 
 def test_not_psd():
@@ -63,9 +57,8 @@ def test_not_psd():
 
 
 def test_min_kernel_independent_increments(rng):
-    pot = scale_minimum_kernel(np.array([0.0, 1.0, 2.0, 3.0]),
-                               states=(0, 1, 2, 3), zero_state=0)
-    f = factor_covariance(pot)
+    scale = np.array([0.0, 1.0, 2.0, 3.0])
+    f = factor_covariance(_pot(np.minimum.outer(scale, scale)))
     n = 100_000
     samples = sample_block(f, n, rng)
     inc = np.diff(samples, axis=1)
@@ -85,8 +78,6 @@ def test_sampler_covariance(ref_chain, rng):
     samples = sample_block(f, n, rng)
     emp = samples.T @ samples / n
     assert np.abs(emp - u0.table).max() < 4 * 2.0 / np.sqrt(n) * 2
-    shifted = sample_field(f, shift=1.5, rng=rng)
-    assert shifted.values.shape == (3,)
 
 
 def test_shift_mean(ref_chain, rng):
@@ -109,19 +100,17 @@ def test_first_composite(ref_chain, rng):
         first_rk_composite_block(2, 0.0, u0f, utf, y, mu_vec, 4, rng)
 
     # r = 1: single shifted square of the killed-at-zero field
-    fields, weights, _ = first_rk_composite_block(1, 1.0, u0f, utf, y, mu_vec,
+    fields, weights = first_rk_composite_block(1, 1.0, u0f, utf, y, mu_vec,
                                                   20_000, rng)
     assert np.all(fields[:, z] == 0.5)  # (0 + s)^2 / 2 with s = 1
     se = weights.std() / np.sqrt(weights.size)
     assert abs(weights.mean() - 1.0) < 4 * se
 
-    fields3, weights3, _ = first_rk_composite_block(3, 1.0, u0f, utf, y,
+    fields3, weights3 = first_rk_composite_block(3, 1.0, u0f, utf, y,
                                                     mu_vec, 20_000, rng)
     se = weights3.std() / np.sqrt(weights3.size)
     assert abs(weights3.mean() - 1.0) < 4 * se
     assert np.all(fields3 >= 0.0)
-    single = first_rk_composite(2, 1.0, u0f, utf, y, mu_vec, rng)
-    assert single.field.shape == (3,)
 
 
 def test_second_composites_degenerate_and_closed_form(ref_chain, rng):
@@ -133,13 +122,13 @@ def test_second_composites_degenerate_and_closed_form(ref_chain, rng):
     y = ref_chain.state_index(-1)
     z = ref_chain.zero_index
 
-    g_hat, g_bar, w, rho, eta2 = second_rk_composites_block(
+    g_hat, g_bar, w, rho = second_rk_composites_block(
         2, 1.0, 0.0, profile, u0f, utf, y, mu_vec, 5_000, rng
     )
     assert np.array_equal(g_hat, g_bar)  # t = 0 collapses the bump exactly
 
     t = 0.8
-    g_hat, g_bar, w, rho, eta2 = second_rk_composites_block(
+    g_hat, g_bar, w, rho = second_rk_composites_block(
         1, 1.0, t, profile, u0f, utf, y, mu_vec, 200_000, rng
     )
     # at state 0 the bump contributes t ^ rho on top of s^2/2
@@ -160,27 +149,6 @@ def test_constituent_independence(ref_chain, rng):
     b = sample_block(utf, n, rng)
     cross = a.T @ b / n
     assert np.abs(cross).max() < 4 * 1.0 / np.sqrt(n) * 2
-
-
-def test_cross_term_expand(ref_chain, rng):
-    u0 = potential_matrix(ref_chain, 0.0)
-    ut = killed_at_zero_potential(u0)
-    profile = hitting_profile(u0)
-    utf = factor_covariance(ut)
-    eta2 = sample_block(utf, 1, rng)[0]
-    t_rho = 0.6
-    d = ref_chain.state_index(1)
-    out = cross_term_expand(eta2, profile, t_rho, d)
-    assert out["middle"][d] == 0.0
-    bump = np.sqrt(2.0 * t_rho)
-    full = 0.5 * (eta2 + profile.h * bump) ** 2
-    diff = full - full[d]
-    assert np.abs(out["middle"] + out["last"] - diff).max() < 1e-12
-    # frozen profile kills the middle term everywhere
-    flat = profile.__class__(h=np.full(3, profile.h[d]), u00=profile.u00,
-                             states=profile.states, index=profile.index)
-    out_flat = cross_term_expand(eta2, flat, t_rho, d)
-    assert np.all(out_flat["middle"] == 0.0)
 
 
 # readout-set factors: the exact marginal of the field on a few states ------
@@ -219,7 +187,8 @@ def test_readout_all_states_matches_full_factor(ref_chain):
     for table in (u0, killed_at_zero_potential(u0),
                   killed_at_zero_potential(potential_matrix(ref_chain, 0.0))):
         C = 0.5 * (table.table + table.table.T)
-        full, _ = _pivoted_cholesky(C, 1e-10 * max(float(np.trace(C)), 1.0))
+        full, _ = _pivoted_cholesky(C, PIVOT_RTOL * max(float(np.trace(C)),
+                                                        1.0))
         everywhere = np.arange(C.shape[0])
         for keep in (None, everywhere):
             f = factor_covariance(table, keep=keep)

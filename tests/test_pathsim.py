@@ -1,268 +1,223 @@
-"""Event-level simulation: exact path identities and kernel agreement."""
+"""Path simulation: exact path identities of the lockstep engine, per stop."""
 
 import numpy as np
 import pytest
 
-from rklab.chains import ChainSpec, RebirthMeasure, build_chain, potential_matrix
-from rklab.errors import EpochBudgetExceeded, InvariantError, LevelExceedsTotal
-from rklab.pathsim import (
-    DeathCause,
-    EpochRecord,
-    Mode,
-    RebirthTrace,
-    StopKind,
-    StopRule,
-    decompose_check,
-    dump_trace,
-    f_field,
-    field_up_to,
-    inverse_local_time,
-    run_epoch,
-    run_rebirthed,
+from rklab.batch import block_rng, make_kernel, mu_tables, simulate
+from rklab.chains import (
+    ChainSpec,
+    RebirthMeasure,
+    build_chain,
+    hitting_profile,
+    potential_matrix,
 )
 from rklab.selftest import absorbed_path_chain
+from test_batch import _mean_within
+
+
+def _run(chain, start, n, role, **kw):
+    starts = np.full(n, chain.state_index(start), dtype=np.int64)
+    return simulate(make_kernel(chain), starts, block_rng(41, role, 0), **kw)
 
 
 def test_single_state_lifetime():
     spec = ChainSpec(states=("a",), rates={}, measure={"a": 1.0},
                      kill_rate=1.0, zero_state=0, zero_accessible=False)
-    chain = build_chain(spec)
-    rng = np.random.default_rng(3)
-    zetas = [run_epoch(chain, "a", Mode.KILL_ONLY, rng).zeta
-             for _ in range(20_000)]
-    se = np.std(zetas) / np.sqrt(len(zetas))
-    assert abs(np.mean(zetas) - 1.0) < 3 * se
+    out = _run(build_chain(spec), "a", 20_000, 1)
+    assert _mean_within(out["t"], 1.0)  # exponential lifetime of mean 1
 
 
 def test_occupation_identity(nonuniform_chain):
-    rng = np.random.default_rng(4)
-    for _ in range(500):
-        rec = run_epoch(nonuniform_chain, -1, Mode.KILL_ONLY, rng)
-        assert rec.occupation_defect() < 1e-12 * max(1.0, rec.zeta)
+    # the discounted occupation identity: the m-weighted discount record is
+    # (1 - e^{-p T}) / p at the end T of the run, cut at the horizon
+    chain = nonuniform_chain
+    p, horizon = 0.7, 1.5
+    out = _run(chain, -1, 500, 2, stop="horizon", record="discount",
+               horizon=horizon, p=p, cols=list(range(chain.n_states)))
+    target = -np.expm1(-p * np.minimum(out["t"], horizon)) / p
+    assert np.all(np.abs(out["rowsum"] - target) < 1e-12)
+    assert np.all(np.abs(out["V"] @ chain.measure - target) < 1e-12)
 
 
 def test_epoch_mean_field(ref_chain):
-    rng = np.random.default_rng(5)
-    total = np.zeros(3)
-    sq = np.zeros(3)
-    n = 100_000
-    for _ in range(n):
-        f = run_epoch(ref_chain, -1, Mode.KILL_ONLY, rng).local_field_total
-        total += f
-        sq += f * f
-    mean = total / n
-    se = np.sqrt(np.maximum(sq / n - mean**2, 0.0) / n)
-    u0 = potential_matrix(ref_chain, 0.0)
+    # Kac's moments of one life from y: E[L^a] = G(y, a) and
+    # E[L^a L^b] = G(y, a) G(a, b) + G(y, b) G(b, a)
+    G = potential_matrix(ref_chain, 0.0).table
     y = ref_chain.state_index(-1)
-    assert np.all(np.abs(mean - u0.table[y]) <= 3 * se + 1e-12)
+    field = _run(ref_chain, -1, 100_000, 3)["field"]
+    assert _mean_within(field, G[y])
+    pairs = (field[:, :, None] * field[:, None, :]).reshape(len(field), -1)
+    second = G[y][:, None] * G + (G[y][:, None] * G).T
+    assert _mean_within(pairs, second.ravel())
 
 
 def test_trace_hit_zero(ref_chain, mu_plus):
-    rng = np.random.default_rng(6)
-    stop = StopRule(StopKind.HIT_ZERO)
-    for _ in range(300):
-        tr = run_rebirthed(ref_chain, mu_plus, -1, stop, rng)
-        assert tr.final_field[ref_chain.zero_index] == 0.0
-        assert tr.epochs[-1].death_cause is DeathCause.STOPPED
-        assert tr.stop_time == tr.boundaries[-1]
-        # stop is strictly inside the final life: the epoch never died
-        assert tr.epochs[-1].hit_zero_at == tr.epochs[-1].zeta
-        assert decompose_check(tr)
-        for ep in tr.epochs[:-1]:
-            assert ep.death_cause is DeathCause.EXPONENTIAL
-            assert ep.hit_zero_at is None  # earlier lives never saw 0
+    # lives are independent: the first reaches 0 with probability h(y),
+    # each later one with h(mu), so the stopping life is geometric
+    h = hitting_profile(potential_matrix(ref_chain, 0.0)).h
+    h_y, h_mu = h[ref_chain.state_index(-1)], h[ref_chain.state_index(1)]
+    out = _run(ref_chain, -1, 20_000, 4, stop="zero", record="epochs",
+               rebirth=mu_tables(ref_chain, mu_plus), r_max=50)
+    stop = out["stop_epoch"]
+    assert _mean_within((stop == 1).astype(float), h_y)
+    assert _mean_within((stop == 2).astype(float), (1 - h_y) * h_mu)
+    # no life holds local time at 0: the stop fires on the first entry
+    assert np.all(out["fields"][:, :, ref_chain.zero_index] == 0.0)
 
 
 def test_trace_inverse_lt_fixed(ref_chain, mu_plus):
-    rng = np.random.default_rng(7)
     t = 0.37
-    stop = StopRule(StopKind.INVERSE_LT_FIXED, level=t)
-    for _ in range(300):
-        tr = run_rebirthed(ref_chain, mu_plus, -1, stop, rng)
-        assert tr.final_field[ref_chain.zero_index] == t  # exact by design
-        assert decompose_check(tr)
-        # event identity: the level sits inside the stop epoch's span and
-        # outside every earlier one
-        lt_path = tr.zero_local_time_path
-        for j in range(1, tr.stop_epoch + 1):
-            lhs = lt_path[j - 1] < t <= lt_path[j]
-            rhs = tr.boundaries[j - 1] < tr.stop_time <= tr.boundaries[j]
-            assert lhs == rhs == (j == tr.stop_epoch)
+    zi = ref_chain.zero_index
+    out = _run(ref_chain, -1, 2_000, 5, stop="left", levels=t,
+               record="epochs", rebirth=mu_tables(ref_chain, mu_plus),
+               r_max=50)
+    kept = out["stop_epoch"] > 0
+    assert np.all(out["l0"][kept] == t)  # exact by design
+    # event identity: the level lies inside the stopping life's span of
+    # zero local time and above every earlier one (the path is monotone)
+    path = np.cumsum(out["fields"][kept][:, :, zi], axis=1)
+    below = np.hstack([np.zeros((kept.sum(), 1)), path[:, :-1]])
+    stop = out["stop_epoch"][kept] - 1
+    lanes = np.arange(kept.sum())
+    assert np.all(below[lanes, stop] < t)
+    assert np.all(np.abs(path[lanes, stop] - t) <= 1e-12)
 
 
-def test_trace_inverse_lt_exp(ref_chain, mu_plus):
-    rng = np.random.default_rng(8)
-    stop = StopRule(StopKind.INVERSE_LT_EXP, rate=1.0)
-    levels = []
-    for _ in range(300):
-        tr = run_rebirthed(ref_chain, mu_plus, -1, stop, rng)
-        assert tr.level is not None
-        assert abs(tr.final_field[ref_chain.zero_index] - tr.level) == 0.0
-        assert decompose_check(tr)
-        levels.append(tr.level)
-    # the level really is a fresh exponential draw
-    assert 0.8 < np.mean(levels) < 1.25
+def test_trace_inverse_lt_exp(ref_chain):
+    # one life from 0 holds an exponential zero local time of mean u00, so an
+    # Exp(1) level is passed with probability u00 / (1 + u00)
+    zi = ref_chain.zero_index
+    u00 = potential_matrix(ref_chain, 0.0).table[zi, zi]
+    levels = block_rng(41, 0, 0).exponential(1.0, 50_000)
+    out = _run(ref_chain, 0, 50_000, 6, stop="right", levels=levels)
+    hit = out["stopped"]
+    assert np.all(out["field"][hit, zi] == levels[hit])
+    assert _mean_within(hit.astype(float), u00 / (1.0 + u00))
 
 
 def test_trace_absorbed():
     chain = absorbed_path_chain()
-    mu = RebirthMeasure(weights={2: 1.0})
-    rng = np.random.default_rng(9)
-    stop = StopRule(StopKind.HIT_ZERO_LEFT)
-    for _ in range(300):
-        tr = run_rebirthed(chain, mu, -1, stop, rng)
-        last = tr.epochs[-1]
-        assert last.death_cause is DeathCause.HIT_ZERO_ABSORBED
-        assert last.hit_zero_at == last.zeta  # left-limit hit = lifetime
-        for ep in tr.epochs[:-1]:
-            assert ep.death_cause is DeathCause.EXPONENTIAL
-        assert decompose_check(tr)
+    out = _run(chain, -1, 2_000, 7, stop="absorb", record="epochs",
+               rebirth=mu_tables(chain, RebirthMeasure(weights={2: 1.0})),
+               r_max=50)
+    kept = out["stop_epoch"] > 0
+    last = out["stop_epoch"][kept] - 1
+    lanes = np.arange(kept.sum())
+    # the absorbing jump leaves from a neighbour of 0 and ends the life:
+    # the left-limit hitting time is the lifetime
+    assert np.all(chain.absorb_rate[out["state"][kept]] > 0)
+    assert np.array_equal(out["bounds"][kept][lanes, last], out["t"][kept])
 
 
 def test_absorbed_epochs_qc():
+    # one life is absorbed before it is killed with probability
+    # ((beta I - Q)^-1 a)_y, a the absorption rates
     chain = absorbed_path_chain()
-    rng = np.random.default_rng(10)
-    count = 0
-    for _ in range(2000):
-        rec = run_epoch(chain, -1, Mode.KILL_OR_ABSORB_AT_ZERO, rng)
-        if rec.death_cause is DeathCause.HIT_ZERO_ABSORBED:
-            count += 1
-            assert rec.hit_zero_at == rec.zeta
-    assert count > 100
+    resolvent = potential_matrix(chain, 0.0).table * chain.measure[None, :]
+    out = _run(chain, -1, 20_000, 8, stop="absorb")
+    absorbed = out["stopped"]
+    target = (resolvent @ chain.absorb_rate)[chain.state_index(-1)]
+    assert _mean_within(absorbed.astype(float), target)
+    assert np.all(chain.absorb_rate[out["state"][absorbed]] > 0)
 
 
-def test_stop_rule_validation(ref_chain, mu_plus):
-    chain_abs = absorbed_path_chain()
-    with pytest.raises(InvariantError):
-        StopRule(StopKind.HIT_ZERO).validate(chain_abs)
-    with pytest.raises(InvariantError):
-        StopRule(StopKind.HIT_ZERO_LEFT).validate(ref_chain)
-    with pytest.raises(InvariantError):
-        StopRule(StopKind.INVERSE_LT_FIXED, level=0.0).validate(ref_chain)
-    with pytest.raises(InvariantError):
-        StopRule(StopKind.INVERSE_LT_EXP, rate=-1.0).validate(ref_chain)
-    with pytest.raises(InvariantError):
-        run_rebirthed(ref_chain, mu_plus, 0, StopRule(StopKind.HIT_ZERO),
-                      np.random.default_rng(0))
+def test_stop_rule_validation(ref_chain):
+    starts = np.zeros(8, dtype=np.int64)
+    absorbed = make_kernel(absorbed_path_chain())
+    rng = block_rng(41, 9, 0)
+    with pytest.raises(ValueError):  # no zero state to hold a level at
+        simulate(absorbed, starts, rng, stop="left", levels=1.0)
+    with pytest.raises(ValueError):
+        simulate(make_kernel(ref_chain), starts, rng, stop="hit")
+    with pytest.raises(ValueError):  # per-life records need rebirth, r_max
+        simulate(make_kernel(ref_chain), starts, rng, record="epochs")
 
 
 def test_epoch_budget(ref_chain, mu_plus):
-    rng = np.random.default_rng(11)
-    stop = StopRule(StopKind.INVERSE_LT_FIXED, level=1e9)
-    with pytest.raises(EpochBudgetExceeded):
-        run_rebirthed(ref_chain, mu_plus, -1, stop, rng, epoch_budget=3)
+    out = _run(ref_chain, -1, 500, 10, stop="left", levels=1e9,
+               rebirth=mu_tables(ref_chain, mu_plus), r_max=3)
+    assert not out["stopped"].any()
+    assert np.all(out["stop_epoch"] == 0) and np.all(out["epochs"] == 3)
 
 
-def _manual_record(chain, holds):
-    fld = np.zeros(chain.n_states)
-    for s, d in holds:
-        fld[s] += d / chain.measure[s]
-    return EpochRecord(chain=chain, start=holds[0][0], holds=list(holds),
-                       zeta=sum(d for _, d in holds),
-                       death_cause=DeathCause.EXPONENTIAL, hit_zero_at=None,
-                       local_field_total=fld)
+def test_inverse_local_time_linear(nonuniform_chain):
+    # inside the visit that crosses the level, the inverse is the time spent
+    # off 0 plus level * m0, for both inverses
+    chain = nonuniform_chain
+    zi = chain.zero_index
+    m = chain.measure
+    levels = np.full(5_000, 0.4)
+    for stop in ("left", "right"):
+        out = _run(chain, -1, 5_000, 11, stop=stop, levels=levels)
+        hit = out["stopped"]
+        off = np.delete(out["field"][hit], zi, axis=1) @ np.delete(m, zi)
+        assert np.all(np.abs(out["t"][hit] - (off + levels[hit] * m[zi]))
+                      <= 1e-12 * np.maximum(1.0, out["t"][hit]))
 
 
-def test_inverse_local_time_linear(ref_chain):
-    # occupation of 0 during [0.5, 1.5): both inverses land at 0.5 + level
-    z = ref_chain.zero_index
-    rec = _manual_record(ref_chain, [(0, 0.5), (z, 1.0), (2, 0.3)])
-    for level in (0.1, 0.25, 0.999):
-        assert abs(inverse_local_time(rec, level, "RIGHT")
-                   - (0.5 + level)) < 1e-12
-        assert abs(inverse_local_time(rec, level, "LEFT")
-                   - (0.5 + level)) < 1e-12
-    assert inverse_local_time(rec, 0.0, "LEFT") == 0.0
-    assert inverse_local_time(rec, 0.0, "RIGHT") == 0.5  # first entry time
-    with pytest.raises(LevelExceedsTotal):
-        inverse_local_time(rec, 1.0, "RIGHT")
-    # LEFT clamps: above the total it returns the end of the last visit
-    assert abs(inverse_local_time(rec, 5.0, "LEFT") - 1.5) < 1e-12
+def test_inverse_sides_agree(ref_chain, mu_plus):
+    # off the null set of ties, the left and right inverses coincide: the
+    # same draws give the same outputs
+    levels = block_rng(41, 0, 1).exponential(1.0, 5_000)
+    for kw in ({}, dict(rebirth=mu_tables(ref_chain, mu_plus), r_max=10)):
+        left = _run(ref_chain, 0, 5_000, 12, stop="left", levels=levels,
+                    **kw)
+        right = _run(ref_chain, 0, 5_000, 12, stop="right", levels=levels,
+                     **kw)
+        assert right.pop("ties") == 0
+        assert left.keys() == right.keys()
+        for key in left:
+            assert np.array_equal(left[key], right[key]), key
 
 
-def test_inverse_sides_agree(ref_chain):
-    rng = np.random.default_rng(12)
-    checked = 0
-    while checked < 10_000:
-        rec = run_epoch(ref_chain, 0, Mode.KILL_ONLY, rng)
-        total = rec.local_field_total[ref_chain.zero_index]
-        if total <= 0.0:
-            continue
-        for u in rng.uniform(0.0, total, size=25):
-            if u == 0.0 or u >= total:
-                continue
-            r = inverse_local_time(rec, u, "RIGHT")
-            l = inverse_local_time(rec, u, "LEFT")
-            assert r == l  # off the flat-level null set they coincide
-            checked += 1
+def test_inverse_sides_split_at_a_tie(ref_chain):
+    # at a level equal to the zero local time at the end of a visit, the
+    # left inverse (>=) stops in that visit and the right one (>) does not.
+    # One lane per run, so that a stop does not shift the other lanes' draws.
+    kernel = make_kernel(ref_chain)
+    zi = ref_chain.zero_index
+    start = np.array([zi])
+    for lane in range(300):
+        def run(**kw):
+            return simulate(kernel, start, block_rng(41, 15, lane), **kw)
+
+        end = run(stop="left", levels=np.inf, clamp="total")["l0"]
+        left = run(stop="left", levels=end)
+        right = run(stop="right", levels=end)
+        assert left["stopped"][0] and left["field"][0, zi] == end[0]
+        assert not right["stopped"][0] and right["ties"] == 1
 
 
-def test_field_up_to(ref_chain):
-    rec = _manual_record(ref_chain, [(0, 0.5), (1, 1.0), (2, 0.25)])
-    part = field_up_to(rec, 0.75)
-    assert np.allclose(part, [0.5, 0.25, 0.0])
-    assert np.allclose(field_up_to(rec, 10.0), rec.local_field_total)
+def test_f_field_limits(ref_chain):
+    # at level 0 the left inverse is the hitting time of 0: nothing is held
+    # at 0, and a stopped lane stands at 0
+    zi = ref_chain.zero_index
+    out = _run(ref_chain, 1, 5_000, 13, stop="left", levels=0.0)
+    assert np.all(out["field"][:, zi] == 0.0)
+    assert np.all(out["state"][out["stopped"]] == zi)
+    assert np.all(out["field"] >= 0.0)
 
 
-def test_f_field_limits(ref_chain, mu_plus):
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        rec_rng = np.random.default_rng(int(rng.integers(1 << 30)))
-        probe = np.random.default_rng(int(rng.integers(1 << 30)))
-        f_zero = f_field(ref_chain, mu_plus, 0.0, rec_rng, start=1)
-        # at level 0 only the pre-hit field survives: nothing from state 0
-        assert f_zero[ref_chain.zero_index] == 0.0
-        f_inf = f_field(ref_chain, mu_plus, np.inf, probe, start=1)
-        assert np.all(f_inf >= 0.0)
-
-
-def test_f_field_total_at_infinity(ref_chain, mu_plus):
-    # the level clamp returns the whole life at t = inf, so subtracting the
-    # pre-hit part leaves the full post-hit field, whose mean from a start
-    # at 0 is the plain kernel row
-    rng = np.random.default_rng(14)
-    n = 60_000
-    total = np.zeros(3)
-    sq = np.zeros(3)
+def test_f_field_total_at_infinity(ref_chain):
+    # the total clamp returns the whole life at an infinite level, whose
+    # mean from a start at 0 is the plain kernel row
+    zi = ref_chain.zero_index
     u0 = potential_matrix(ref_chain, 0.0)
-    for _ in range(n):
-        rec = run_epoch(ref_chain, 0, Mode.KILL_ONLY, rng)
-        post = rec.local_field_total - 0.0  # hit at time 0: pre-field empty
-        total += post
-        sq += post * post
-    mean = total / n
-    se = np.sqrt(np.maximum(sq / n - mean**2, 0.0) / n)
-    z = ref_chain.zero_index
-    assert np.all(np.abs(mean - u0.table[z]) <= 3 * se + 1e-12)
+    out = _run(ref_chain, 0, 60_000, 14, stop="left", levels=np.inf,
+               clamp="total")
+    assert not out["stopped"].any()
+    assert _mean_within(out["field"], u0.table[zi])
 
 
-def test_manual_two_epoch_trace(ref_chain):
-    # hand-built trace: epoch 1 holds (-1: 0.5, 0: 0.25) then dies, epoch 2
-    # holds (+1: 0.125) and stops on entering 0
-    e1 = _manual_record(ref_chain, [(0, 0.5), (1, 0.25)])
-    e2 = EpochRecord(chain=ref_chain, start=2, holds=[(2, 0.125)], zeta=0.125,
-                     death_cause=DeathCause.STOPPED, hit_zero_at=0.125,
-                     local_field_total=np.array([0.0, 0.0, 0.125]))
-    trace = RebirthTrace(
-        chain=ref_chain, epochs=[e1, e2], boundaries=[0.0, 0.75, 0.875],
-        stop=StopRule(StopKind.HIT_ZERO), stop_epoch=2, stop_time=0.875,
-        final_field=np.array([0.5, 0.25, 0.125]),
-        zero_local_time_path=[0.0, 0.25, 0.25],
-    )
-    assert decompose_check(trace)
-    trace.final_field[0] = 0.75  # corrupt it
-    from rklab.errors import DecompositionMismatch
-
-    with pytest.raises(DecompositionMismatch):
-        decompose_check(trace)
-
-
-def test_dump_trace(ref_chain, mu_plus, tmp_path):
-    rng = np.random.default_rng(15)
-    tr = run_rebirthed(ref_chain, mu_plus, -1, StopRule(StopKind.HIT_ZERO), rng)
-    path = tmp_path / "trace.csv"
-    with open(path, "w") as fh:
-        dump_trace(tr, fh)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,state,duration,death"
-    assert len(lines) == 1 + sum(len(ep.holds) for ep in tr.epochs)
+def test_manual_two_epoch_trace(ref_chain, mu_plus):
+    # the per-life fields of a trace add up to its total field: the epochs
+    # record and the total record see the same draws
+    rebirth = mu_tables(ref_chain, mu_plus)
+    kw = dict(stop="zero", rebirth=rebirth, r_max=4)
+    total = _run(ref_chain, -1, 2_000, 15, **kw)
+    lives = _run(ref_chain, -1, 2_000, 15, record="epochs", **kw)
+    assert np.array_equal(total["t"], lives["t"])
+    assert np.array_equal(total["stop_epoch"], lives["stop_epoch"])
+    summed = lives["fields"].sum(axis=1)
+    assert np.all(np.abs(summed - total["field"])
+                  <= 1e-12 * np.maximum(1.0, total["field"]))
