@@ -22,7 +22,7 @@ Stop policies (``stop``); a lane that stops has ``stopped`` set:
 * ``right``   the same with ``>`` (right inverse); exact ties between a
   level and an end-of-visit value are counted in ``ties``;
 * ``horizon`` the lane stops at the end of the first hold that reaches
-  ``horizon``.
+  ``horizon`` plus its level (a lane without a level has level 0).
 
 A death is any outcome that leaves the space: a kill or an absorption.
 With ``r_max`` a lane whose r_max-th life dies is abandoned: it ends with
@@ -35,9 +35,23 @@ Record kinds (``record``):
 * ``epochs``   ``fields`` (N, r_max, n), one field per life, and
   ``bounds`` (N, r_max), the time at which each life died; a crossing adds
   level - l0 to the zero entry of the stopping life;
-* ``discount`` ``V`` (N, len(cols)), the integrals of exp(-p s) dL^y_s up
-  to ``horizon`` at the states ``cols``, and ``rowsum``, the m-weighted
-  integral over every state (expectation (1 - e^{-p T})/p).
+* ``discount`` ``V`` (N, len(cols)), the discounted local times at the
+  states ``cols``, and ``rowsum``, the same over every state, m-weighted.
+  Up to the switch time H0 = ``horizon`` a hold is weighted by its exact
+  integral of exp(-p s); past H0 each hold of length d counts
+  e^{-p H0} (1 - e^{-p d}) / p.  A hold [a, a + d] that straddles H0 is
+  split there.  Without levels the ``horizon`` stop ends the lane in the
+  hold that reaches H0, so ``rowsum`` is exactly (1 - e^{-p t})/p.
+
+Why the clocked ``discount`` record is unbiased.  With the ``horizon``
+stop and independent Exp(p) levels T, the lane runs every hold that starts
+before H0 + T.  A hold that starts at a >= H0 is therefore counted with
+probability P(T > a - H0) = e^{-p (a - H0)}, so its expected weight
+e^{-p a} (1 - e^{-p d}) / p is its exact discount integral; the holds that
+start before H0 are always counted, with their exact integral.  Hence
+E[V | path] = int_0^inf exp(-p s) dL_s, whose mean is the p-potential
+u_p(x, y) = E_x[L^y at an independent Exp(p) time] (Marcus & Rosen 2006),
+with no truncation, and E[rowsum] = 1/p for a lane that never ends.
 
 Every run returns ``t`` (the elapsed time when the lane ended), ``stopped``
 and ``state`` (the state it ended in); runs with a rebirth table and
@@ -54,7 +68,7 @@ Each round, for the lanes alive at its start:
 5. handle deaths: stop, abandon, or rebirth with one uniform per reborn
    lane (``rng.random(#reborn)``);
 6. handle jumps: an entry into 0 stops the lane under the ``zero`` stop;
-7. stop the lanes that reached the horizon.
+7. stop the lanes that reached the horizon plus their level.
 
 Only steps 1, 4 and 5 draw.  Reports at a fixed seed depend on this order.
 
@@ -219,12 +233,13 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     ``rebirth`` is the (state indices, cumulative weights) pair of
     :func:`mu_tables`; without it a death ends the lane.  ``r_max`` abandons
     a lane whose r_max-th life dies.  ``levels`` are the zero local times of
-    the level stops; ``clamp`` picks what a single life that dies before its
-    left level keeps (``strict``: the field at the end of its last visit to
-    0; ``total``: the whole life).  ``horizon``, ``p`` and ``cols`` are the
-    horizon, the discount rate and the tracked states of the ``discount``
-    record; ``track_min`` adds the lowest state index each life visited to
-    the ``epochs`` record of the ``zero`` stop.
+    the level stops, or the clocks added to ``horizon`` by the ``horizon``
+    stop; ``clamp`` picks what a single life that dies before its left level
+    keeps (``strict``: the field at the end of its last visit to 0;
+    ``total``: the whole life).  ``horizon``, ``p`` and ``cols`` are the
+    switch time, the discount rate and the tracked states of the
+    ``discount`` record; ``track_min`` adds the lowest state index each life
+    visited to the ``epochs`` record of the ``zero`` stop.
     """
     if stop not in STOPS or record not in RECORDS:
         raise ValueError(f"unknown stop {stop!r} or record {record!r}")
@@ -265,6 +280,11 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
         V = np.zeros((N, width))
         V_flat = V.reshape(-1)
         rowsum = np.zeros(N)
+        tail = np.exp(-p * horizon)
+    if stop == "horizon":
+        ends = np.full(N, float(horizon))
+        if levels is not None:
+            ends += levels
     snap = low = None
     if level_stop:
         if zero is None:
@@ -312,7 +332,9 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
         # distinct, so it adds exactly what a fancy-indexed += would
         if record == "discount":
             a = t[idx]
-            w = np.exp(-p * a) * -np.expm1(-p * np.minimum(d, horizon - a)) / p
+            b = np.minimum(d, np.maximum(horizon - a, 0.0))  # part before H0
+            w = (np.exp(-p * a) * -np.expm1(-p * b)
+                 + tail * -np.expm1(-p * (d - b))) / p
             np.add.at(rowsum, idx, w)
             np.add.at(V_flat, idx * width + col_of[s], w / m[s])
         elif per_epoch:
@@ -372,7 +394,7 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
             low_flat[at] = np.minimum(low_flat[at], tg)
 
         if stop == "horizon":
-            done = idx[t[idx] >= horizon]
+            done = idx[t[idx] >= ends[idx]]
             done = done[alive[done]]
             stopped[done] = True
             alive[done] = False

@@ -37,12 +37,17 @@ _PLAN_KEYS = {"r", "s", "p", "t", "replicates", "test_points",
 
 
 def _num(value, path, kind=float):
-    """``kind(value)``, or a SchemaError naming the key path."""
+    """``kind(value)`` for a finite number, integral when ``kind`` is int,
+    or a SchemaError naming the key path."""
     try:
-        return kind(value)
+        x = float(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{path}: expected a number, got {value!r}") \
-            from None
+        x = math.nan
+    if not math.isfinite(x) or (kind is int and not x.is_integer()):
+        what = "an integer" if kind is int else "a finite number"
+        raise SchemaError(f"{path}: expected {what}, got {value!r}")
+    return out
 
 
 def _seq(value, path) -> tuple:
@@ -50,6 +55,17 @@ def _seq(value, path) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise SchemaError(f"{path}: expected a list, got {value!r}")
     return tuple(value)
+
+
+def _measure(value, states) -> dict:
+    """The state measure from a number or a mapping, or a SchemaError."""
+    if isinstance(value, dict):
+        return {x: _num(w, f"chain.measure.{x}") for x, w in value.items()}
+    if isinstance(value, (list, tuple)):
+        raise SchemaError(
+            f"chain.measure: expected a number or a mapping, got {value!r}")
+    w = _num(value, "chain.measure")
+    return {x: w for x in states}
 
 
 def check_seed(seed: int) -> None:
@@ -66,8 +82,8 @@ def check_workers(workers: int) -> None:
 def check_z_max(z_max) -> None:
     """A verdict threshold that some |z| can pass and some can fail."""
     value = _num(z_max, "plan.z_max")
-    if not math.isfinite(value) or value <= 0:
-        raise InvariantError(f"plan.z_max must be finite and > 0, got {value}")
+    if value <= 0:
+        raise InvariantError(f"plan.z_max must be > 0, got {value}")
 
 
 @dataclass
@@ -94,16 +110,19 @@ class ExperimentConfig:
     def test_plan(self) -> TestPlan:
         p = self.plan
         probes = _seq(p.get("laplace_probes", ()), "plan.laplace_probes")
+        orders = _seq(p.get("moment_orders", (1, 2)), "plan.moment_orders")
         kwargs = dict(
             chain=self.chain, mu=self.mu, start=self.start,
             replicates=_num(p.get("replicates", 200_000), "plan.replicates",
                             int),
             seed=self.seed,
             test_points=_seq(p.get("test_points", ()), "plan.test_points"),
-            laplace_probes=tuple(_seq(v, f"plan.laplace_probes[{i}]")
-                                 for i, v in enumerate(probes)),
-            moment_orders=_seq(p.get("moment_orders", (1, 2)),
-                               "plan.moment_orders"),
+            laplace_probes=tuple(
+                tuple(_num(w, f"plan.laplace_probes[{i}]")
+                      for w in _seq(v, f"plan.laplace_probes[{i}]"))
+                for i, v in enumerate(probes)),
+            moment_orders=tuple(_num(k, f"plan.moment_orders[{i}]", int)
+                                for i, k in enumerate(orders)),
             workers=self.workers,
             defect=p.get("defect"),
         )
@@ -170,10 +189,11 @@ def _build_chain(doc) -> SymmetricChain:
     if kind == "path":
         if "states" not in doc:
             raise SchemaError("chain: path needs a states list")
+        states = _seq(doc["states"], "chain.states")
         return path_chain(
-            _seq(doc["states"], "chain.states"),
-            rate=_num(doc.get("rate", 1.0), "chain.rate"),
-            measure=doc.get("measure", 1.0), kill_rate=kill, zero_state=zero,
+            states, rate=_num(doc.get("rate", 1.0), "chain.rate"),
+            measure=_measure(doc.get("measure", 1.0), states),
+            kill_rate=kill, zero_state=zero,
         )
     if kind == "explicit":
         for key in ("states", "rates", "measure"):
@@ -184,12 +204,10 @@ def _build_chain(doc) -> SymmetricChain:
             if not isinstance(triple, (list, tuple)) or len(triple) != 3:
                 raise SchemaError("chain.rates: entries must be [from, to, rate]")
             rates[(triple[0], triple[1])] = _num(triple[2], "chain.rates")
-        measure = doc["measure"]
         states = _seq(doc["states"], "chain.states")
-        if not isinstance(measure, dict):
-            measure = {x: _num(measure, "chain.measure") for x in states}
         spec = ChainSpec(
-            states=states, rates=rates, measure=measure, kill_rate=kill,
+            states=states, rates=rates,
+            measure=_measure(doc["measure"], states), kill_rate=kill,
             zero_state=zero,
             zero_accessible=bool(doc.get("zero_accessible", zero in states)),
         )
@@ -209,7 +227,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in doc:
             raise SchemaError(f"top level: missing key {key!r}")
     harness = doc["harness"]
-    if harness not in HARNESS_NUM:
+    if not isinstance(harness, str) or harness not in HARNESS_NUM:
         raise SchemaError(
             f"harness: unknown id {harness!r}; expected one of "
             f"{sorted(HARNESS_NUM)}"

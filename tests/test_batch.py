@@ -23,6 +23,7 @@ from rklab.chains import (
     hitting_profile,
     killed_at_zero_potential,
     potential_matrix,
+    rebirthed_potential,
     reference_chain,
 )
 from rklab.selftest import absorbed_path_chain
@@ -210,6 +211,28 @@ def test_life_matches_kac_law():
                                                            stop)
 
 
+def test_clocked_discount_matches_rebirthed_kernel(nonuniform_chain):
+    # the horizon stop at H0 plus an Exp(p) clock, with the clocked discount
+    # record: the mean V row is the rebirthed p-potential W_p and the mean
+    # rowsum is 1/p, with no truncation
+    p = 0.7
+    n = 200_000
+    for chain, mu, start in [(nonuniform_chain, {-1: 0.5, 1: 0.5}, 0),
+                             (absorbed_path_chain(), {2: 1.0}, -1)]:
+        mu = RebirthMeasure(weights=mu)
+        y = chain.state_index(start)
+        rng = block_rng(34, 1, 0)
+        clocks = rng.exponential(1.0 / p, n)
+        out = simulate(make_kernel(chain), np.full(n, y, dtype=np.int64),
+                       rng, stop="horizon", record="discount",
+                       rebirth=mu_tables(chain, mu), levels=clocks,
+                       horizon=np.log(20.0) / p, p=p,
+                       cols=np.arange(chain.n_states))
+        target = rebirthed_potential(chain, mu, p).table[y]
+        assert _mean_within(out["V"], target), chain.n_states
+        assert _mean_within(out["rowsum"], 1.0 / p), chain.n_states
+
+
 # bookkeeping on random chains -------------------------------------------------
 
 def _check_run(chain, out, levels=None, r_max=None):
@@ -279,6 +302,20 @@ def test_engine_bookkeeping_property(case):
     out = run(7, starts, stop="horizon", rebirth=rebirth, horizon=2.0)
     _check_run(chain, out)
     assert np.all(out["stopped"]) and np.all(out["t"] >= 2.0)
+    # the clocked discount record without levels: the lane stops in the
+    # hold that reaches the switch time, and the discounted total time is
+    # exactly (1 - e^{-p t})/p; with levels the stop waits for the clock
+    p = 0.8
+    for role, lv in [(8, None), (9, levels)]:
+        out = run(role, starts, stop="horizon", record="discount",
+                  rebirth=rebirth, levels=lv, horizon=2.0, p=p,
+                  cols=np.arange(chain.n_states))
+        assert np.all(out["t"] >= 2.0 + (0.0 if lv is None else lv))
+        assert np.all(np.abs(out["V"] @ chain.measure - out["rowsum"])
+                      < 1e-12)
+        if lv is None:
+            assert np.all(np.abs(out["rowsum"] + np.expm1(-p * out["t"]) / p)
+                          < 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,6 +386,7 @@ def _stream_shapes():
     rb_grid = mu_tables(grid, RebirthMeasure(weights={4: 0.5, 12: 0.5}))
     rb_abs = mu_tables(absorbed, RebirthMeasure(weights={2: 1.0}))
     levels = block_rng(5, 0, 0).exponential(0.7, n)
+    clocks = block_rng(5, 1, 0).exponential(1.0, n)
     zeros = np.full(n, ref.zero_index, dtype=np.int64)
     return [
         ("death-total", ref, mixed, {}),
@@ -381,6 +419,9 @@ def _stream_shapes():
         ("horizon-discount-grid", grid, np.full(n, 8, dtype=np.int64),
          dict(stop="horizon", record="discount", horizon=1.5, p=0.5,
               cols=[4, 8])),
+        ("horizon-clock", ref, mixed,
+         dict(stop="horizon", record="discount", rebirth=rb, levels=clocks,
+              horizon=np.log(20.0), p=1.0, cols=[0, 2])),
     ]
 
 
@@ -498,15 +539,22 @@ _STREAM_DIGESTS = {
         "t": "9416486bd0b0184b",
         "stopped": "bfeba188e703ab45",
         "state": "b6f56de99a997f02",
-        "V": "240b68b9cdd955d9",
-        "rowsum": "75cd159be3aa7a5b",
+        "V": "64d271a0d9f9cbd2",
+        "rowsum": "f7b3b5d5cb27600c",
     },
     "horizon-discount-grid": {
         "t": "4f75fa5cb61bc386",
         "stopped": "999f4a7be7f247c0",
         "state": "1dacb81ca1b06a09",
-        "V": "e9bd44d4b81d4b24",
-        "rowsum": "2e499dec029f724c",
+        "V": "afdbee2c0bde1e3b",
+        "rowsum": "ae580f7a9e82c1f3",
+    },
+    "horizon-clock": {
+        "t": "72e2b9e9cff7c63a",
+        "stopped": "bfeba188e703ab45",
+        "state": "61289c1013bb9487",
+        "V": "b1411a516327f7fb",
+        "rowsum": "88e99fb63a5336a2",
     },
 }
 

@@ -164,7 +164,11 @@ def _plan_edit(text):
     return {"  s: 1.0": text}
 
 
-@pytest.mark.parametrize("edits,extra,key", [
+def _normalization_edit(text):
+    return {"harness: eisenbaum": "harness: normalization", "  s: 1.0": text}
+
+
+@pytest.mark.parametrize("edits,extra,message", [
     (None, ["--seed", "-3"], None),
     (_seed_edit("seed: 4242\nworkers: -2"), [], None),
     (None, ["--workers", "-2"], None),
@@ -177,28 +181,61 @@ def _plan_edit(text):
     (None, ["--replicates", "0"], None),
     # list-typed keys given a scalar or a string
     ({"  test_points: [-1, 0, 1]": "  test_points: 5"}, [],
-     "plan.test_points"),
+     "plan.test_points: expected a list"),
     ({"  test_points: [-1, 0, 1]": '  test_points: "-1"'}, [],
-     "plan.test_points"),
+     "plan.test_points: expected a list"),
     (_plan_edit("  s: 1.0\n  laplace_probes: [1.0, 2.0]"), [],
-     "plan.laplace_probes[0]"),
-    (_plan_edit("  s: 1.0\n  laplace_probes: 5"), [], "plan.laplace_probes"),
-    (_plan_edit("  s: 1.0\n  moment_orders: 5"), [], "plan.moment_orders"),
+     "plan.laplace_probes[0]: expected a list"),
+    (_plan_edit("  s: 1.0\n  laplace_probes: 5"), [],
+     "plan.laplace_probes: expected a list"),
+    (_plan_edit("  s: 1.0\n  moment_orders: 5"), [],
+     "plan.moment_orders: expected a list"),
     ({"harness: eisenbaum": "harness: reduction",
-      "  s: 1.0": "  scales: 0.25"}, [], "plan.scales"),
+      "  s: 1.0": "  scales: 0.25"}, [], "plan.scales: expected a list"),
     ({"harness: eisenbaum": "harness: modulus-uniform",
-      "  s: 1.0": "  scales: [0.25]\n  interval: 5"}, [], "plan.interval"),
-    ({"  states: [-1, 0, 1]": "  states: 5"}, [], "chain.states"),
+      "  s: 1.0": "  scales: [0.25]\n  interval: 5"}, [],
+     "plan.interval: expected a list"),
+    ({"  states: [-1, 0, 1]": "  states: 5"}, [],
+     "chain.states: expected a list"),
     ({"  kind: path": "  kind: explicit", "  rate: 1.0": "  rates: 5"}, [],
-     "chain.rates"),
+     "chain.rates: expected a list"),
+    # non-finite and non-integral numbers
+    (_normalization_edit("  p: .nan"), [], "plan.p: expected a finite"),
+    (_normalization_edit("  p: .inf"), [], "plan.p: expected a finite"),
+    (dict(_normalization_edit("  p: 1.0"),
+          **{"  kill_rate: 1.0": "  kill_rate: .nan"}), [],
+     "chain.kill_rate: expected a finite"),
+    (_plan_edit("  s: .nan"), [], "plan.s: expected a finite"),
+    ({"  kill_rate: 1.0": "  kill_rate: .inf"}, [],
+     "chain.kill_rate: expected a finite"),
+    ({"  measure: 1.0": "  measure: .nan"}, [],
+     "chain.measure: expected a finite"),
+    ({"mu: {1: 1.0}": "mu: {1: .nan}"}, [], "mu.1: expected a finite"),
+    (_seed_edit("seed: 4242.5"), [], "seed: expected an integer"),
+    (_plan_edit("  s: 1.0\n  laplace_probes: [[.nan, 1.0, 1.0]]"), [],
+     "plan.laplace_probes[0]: expected a finite"),
+    (_plan_edit("  s: 1.0\n  moment_orders: [1, 2.5]"), [],
+     "plan.moment_orders[1]: expected an integer"),
+    ({"  replicates: 10000": "  replicates: 10000.7"}, [],
+     "plan.replicates: expected an integer"),
+    # wrong-typed keys
+    ({"  measure: 1.0": "  measure: [1, 2, 3]"}, [],
+     "chain.measure: expected a number or a mapping"),
+    ({"harness: eisenbaum": "harness: [eisenbaum]"}, [],
+     "harness: unknown id"),
 ], ids=["cli-seed", "yaml-workers", "cli-workers", "z-max-negative",
         "z-max-zero", "z-max-inf", "yaml-seed", "plan-s-not-a-number",
         "yaml-seed-not-a-number", "cli-replicates-zero",
         "test-points-scalar", "test-points-string", "laplace-probe-scalar",
         "laplace-probes-scalar", "moment-orders-scalar", "scales-scalar",
-        "interval-scalar", "chain-states-scalar", "chain-rates-scalar"])
+        "interval-scalar", "chain-states-scalar", "chain-rates-scalar",
+        "normalization-p-nan", "normalization-p-inf",
+        "normalization-kill-rate-nan", "plan-s-nan", "kill-rate-inf",
+        "measure-nan", "mu-weight-nan", "seed-fractional",
+        "laplace-probe-nan", "moment-order-fractional",
+        "replicates-fractional", "measure-list", "harness-list"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, edits, extra,
-                                         key):
+                                         message):
     text = SMALL_EISENBAUM
     for old, new in (edits or {}).items():
         assert old in text
@@ -209,4 +246,4 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, edits, extra,
     assert cli.main(["run", str(cfg_path), "--no-figures"] + extra) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert key is None or f"{key}: expected a list" in err[0], err
+    assert message is None or message in err[0], err

@@ -28,13 +28,16 @@ def test_single_state_lifetime():
 
 
 def test_occupation_identity(nonuniform_chain):
-    # the discounted occupation identity: the m-weighted discount record is
-    # (1 - e^{-p T}) / p at the end T of the run, cut at the horizon
+    # the discounted occupation identity: without levels a lane stops in
+    # the hold that reaches the switch time (or dies before it), so the
+    # m-weighted discount record, split at the switch time, is exactly
+    # (1 - e^{-p T}) / p at the end T of the run
     chain = nonuniform_chain
     p, horizon = 0.7, 1.5
     out = _run(chain, -1, 500, 2, stop="horizon", record="discount",
                horizon=horizon, p=p, cols=list(range(chain.n_states)))
-    target = -np.expm1(-p * np.minimum(out["t"], horizon)) / p
+    assert (out["t"] > horizon).any() and (out["t"] < horizon).any()
+    target = -np.expm1(-p * out["t"]) / p
     assert np.all(np.abs(out["rowsum"] - target) < 1e-12)
     assert np.all(np.abs(out["V"] @ chain.measure - target) < 1e-12)
 
