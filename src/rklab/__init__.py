@@ -20,7 +20,6 @@ from .chains import (
     path_chain,
     potential_matrix,
     rebirthed_potential,
-    reference_chain,
 )
 from .gaussfield import FieldFactor, factor_covariance
 from .harnesses import REGISTRY, TestPlan

@@ -98,6 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import RebirthMeasure, SymmetricChain
+from .errors import InvariantError
 
 BLOCK_SIZE = 8192
 
@@ -165,6 +166,8 @@ def make_kernel(chain: SymmetricChain) -> Kernel:
 
 def mu_tables(chain: SymmetricChain, mu: RebirthMeasure):
     """(state indices, cumulative weights) for inverse-cdf rebirth draws."""
+    if mu is None:
+        raise InvariantError("this harness needs a rebirth measure (mu)")
     labels = [x for x, w in mu.weights.items() if w > 0]
     idx = np.array([chain.state_index(x) for x in labels], dtype=np.int64)
     cum = np.cumsum([mu.weights[x] for x in labels])

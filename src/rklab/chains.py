@@ -118,7 +118,7 @@ class SymmetricChain:
     def state_index(self, label) -> int:
         try:
             return self.index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InvariantError(f"unknown state label {label!r}") from None
 
 
@@ -385,11 +385,6 @@ def path_chain(labels, rate=1.0, measure=1.0, kill_rate=1.0, zero_state=0,
         zero_accessible=zero_state in labels,
     )
     return build_chain(spec, coords=coords)
-
-
-def reference_chain(kill_rate=1.0) -> SymmetricChain:
-    """Three-state path -1 <-> 0 <-> +1, unit rates and measure."""
-    return path_chain((-1, 0, 1), kill_rate=kill_rate, coords=(-1.0, 0.0, 1.0))
 
 
 def birth_death_chain(n, rate, kill_rate=1.0, absorb_at_zero=False) -> SymmetricChain:

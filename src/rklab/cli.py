@@ -2,7 +2,9 @@
 
 Exit codes: 0 all verdicts pass, 1 statistical failure, 2 configuration or
 runtime error.  ``--seed``, ``--replicates`` and ``--workers`` override the
-config; the worker count never changes the numbers in a report.
+config; the worker count never changes the numbers in a report.  The self
+test runs every shipped config (``configs/*.yaml``) with its own plan and
+expects a FAIL exactly from those that inject a ``plan.defect``.
 """
 
 from __future__ import annotations
@@ -14,20 +16,14 @@ import os
 import sys
 import time
 
-from . import diagnostics
 from .chains import (
     hitting_profile,
     killed_at_zero_potential,
     potential_matrix,
     rebirthed_potential,
 )
-from .config import (
-    SWEEP_HARNESSES,
-    ExperimentConfig,
-    check_seed,
-    check_workers,
-    load_config,
-)
+from .config import ExperimentConfig, load_config
+from .diagnostics import SweepResult
 from .errors import RKLabError
 from .harnesses import REGISTRY
 from .reporting import (
@@ -47,6 +43,10 @@ EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_ERROR = 2
 
+# the shipped configs of a source checkout, which the self test runs
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       os.pardir, "configs")
+
 
 def _check_output_dir(path):
     parent = os.path.dirname(path) or "."
@@ -55,40 +55,30 @@ def _check_output_dir(path):
 
 
 def execute(cfg: ExperimentConfig) -> int:
-    """Dispatch one configuration to its harness and emit the reports."""
+    """Run one configuration's harness and emit its reports."""
     t_start = time.perf_counter()
     if cfg.output:
         _check_output_dir(cfg.output)
-    if cfg.harness in SWEEP_HARNESSES:
-        sweep_fn = {
-            "modulus-local": diagnostics.local_modulus_sweep,
-            "modulus-uniform": diagnostics.uniform_modulus_sweep,
-            "lil": diagnostics.lil_sweep,
-        }[cfg.harness]
-        sweep = sweep_fn(cfg.sweep_config())
-        print(sweep_table(sweep))
+    result = REGISTRY[cfg.harness](cfg.run_plan())
+    if isinstance(result, SweepResult):
+        print(sweep_table(result))
         if cfg.output:
-            write_sweep_json(sweep, cfg.output)
+            write_sweep_json(result, cfg.output)
             stem, _ = os.path.splitext(cfg.output)
-            write_sweep_csv(sweep, stem + ".csv")
+            write_sweep_csv(result, stem + ".csv")
             if cfg.figures:
-                render_sweep_figure(sweep, cfg.output)
-        log.info("%s seed=%d replicates=%d wall=%.1fs", cfg.harness,
-                 cfg.seed, sweep.replicates, time.perf_counter() - t_start)
-        return EXIT_PASS  # sweeps are informational
-    if cfg.harness == "reduction":
-        report = diagnostics.reduction_identity_test(cfg.test_plan(),
-                                                     cfg.scales())
+                render_sweep_figure(result, cfg.output)
+        size = result.replicates
     else:
-        report = REGISTRY[cfg.harness](cfg.test_plan())
-    print(report_table(report))
-    if cfg.output:
-        write_report_json(report, cfg.output)
-        if cfg.figures:
-            render_report_figure(report, cfg.output)
-    log.info("%s seed=%d N=%d wall=%.1fs", cfg.harness, cfg.seed,
-             report.n_lhs, time.perf_counter() - t_start)
-    return EXIT_PASS if report.verdict else EXIT_STAT_FAIL
+        print(report_table(result))
+        if cfg.output:
+            write_report_json(result, cfg.output)
+            if cfg.figures:
+                render_report_figure(result, cfg.output)
+        size = result.n_lhs
+    log.info("%s seed=%d N=%d wall=%.1fs", cfg.harness, cfg.seed, size,
+             time.perf_counter() - t_start)
+    return EXIT_PASS if result.verdict else EXIT_STAT_FAIL
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -112,20 +102,27 @@ def cmd_run(args) -> int:
     return execute(cfg)
 
 
-def cmd_suite(args) -> int:
+def _configs(directory, args):
+    """(path, config with the overrides) for every YAML file in
+    ``directory``, in name order."""
+    if not os.path.isdir(directory):
+        raise RKLabError(f"config directory {directory!r} does not exist")
     paths = sorted(
-        os.path.join(args.directory, p)
-        for p in os.listdir(args.directory)
+        os.path.join(directory, p)
+        for p in os.listdir(directory)
         if p.endswith((".yaml", ".yml"))
     )
     if not paths:
-        raise RKLabError(f"no configs found in {args.directory!r}")
-    worst = EXIT_PASS
+        raise RKLabError(f"no configs found in {directory!r}")
     for path in paths:
-        cfg = _apply_overrides(load_config(path), args)
+        yield path, _apply_overrides(load_config(path), args)
+
+
+def cmd_suite(args) -> int:
+    worst = EXIT_PASS
+    for path, cfg in _configs(args.directory, args):
         print(f"--- {path}")
-        code = execute(cfg)
-        worst = max(worst, code)
+        worst = max(worst, execute(cfg))
     return worst
 
 
@@ -157,13 +154,27 @@ def cmd_dump_potentials(args) -> int:
 
 
 def cmd_self_test(args) -> int:
-    from . import selftest
-
-    if args.seed is not None:
-        check_seed(args.seed)
-    if args.workers is not None:
-        check_workers(args.workers)
-    return selftest.run(workers=args.workers or 1, seed=args.seed)
+    """One line per shipped config; exit 0 when each config without a
+    defect passes and each config with one fails.  No report is written."""
+    missed = 0
+    t_start = time.perf_counter()
+    for path, cfg in _configs(CONFIGS, args):
+        t0 = time.perf_counter()
+        result = REGISTRY[cfg.harness](cfg.run_plan())
+        dt = time.perf_counter() - t0
+        if isinstance(result, SweepResult):
+            detail = f"finest median = {result.finest_median:.3g} (info)"
+        else:
+            detail = f"max |z| = {result.max_abs_z():.2f}"
+        defect = cfg.plan.get("defect")
+        if defect is not None:
+            detail += f", FAIL expected under defect {defect}"
+        missed += result.verdict != (defect is None)
+        name = os.path.splitext(os.path.basename(path))[0]
+        print(f"self-test {name:<16} {'PASS' if result.verdict else 'FAIL'}"
+              f"  {detail}  [{dt:.1f}s]")
+    print(f"self-test total wall time {time.perf_counter() - t_start:.1f}s")
+    return EXIT_PASS if missed == 0 else EXIT_STAT_FAIL
 
 
 def main(argv=None) -> int:
@@ -201,7 +212,8 @@ def main(argv=None) -> int:
     dump_p.set_defaults(fn=cmd_dump_potentials)
 
     self_p = sub.add_parser("self-test",
-                            help="run every harness on the reference chains")
+                            help="run every shipped config (configs/*.yaml) "
+                                 "and check each verdict")
     self_p.add_argument("--seed", type=int)
     self_p.add_argument("--workers", type=int)
     self_p.set_defaults(fn=cmd_self_test)

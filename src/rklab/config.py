@@ -21,11 +21,8 @@ from .chains import (
     build_chain,
     path_chain,
 )
-from .diagnostics import SweepConfig
 from .errors import InvariantError, SchemaError
-from .harnesses import HARNESS_NUM, TestPlan
-
-SWEEP_HARNESSES = ("modulus-local", "modulus-uniform", "lil")
+from .harnesses import REGISTRY, SweepConfig, TestPlan
 
 _TOP_KEYS = {"harness", "chain", "mu", "start", "plan", "seed", "output",
              "workers", "figures"}
@@ -33,7 +30,7 @@ _CHAIN_KEYS = {"kind", "states", "rates", "measure", "n", "rate",
                "absorb_at_zero", "kill_rate", "zero_state", "zero_accessible"}
 _PLAN_KEYS = {"r", "s", "p", "t", "replicates", "test_points",
               "laplace_probes", "moment_orders", "scales", "d", "interval",
-              "stop", "level", "phi_kind", "phi_scale", "defect", "z_max"}
+              "stop", "defect", "z_max"}
 
 
 def _num(value, path, kind=float):
@@ -106,8 +103,22 @@ class ExperimentConfig:
         check_workers(self.workers)
         if "z_max" in self.plan:
             check_z_max(self.plan["z_max"])
+        defect = self.plan.get("defect")
+        declared = REGISTRY[self.harness].defects
+        if defect is not None \
+                and not (isinstance(defect, str) and defect in declared):
+            raise SchemaError(
+                f"plan.defect: {self.harness} has no defect {defect!r}; "
+                f"declared: {', '.join(sorted(declared)) or 'none'}")
 
-    def test_plan(self) -> TestPlan:
+    def run_plan(self):
+        """The argument of the harness's run function, of the type that the
+        registry declares for it."""
+        if REGISTRY[self.harness].plan_type is SweepConfig:
+            return self._sweep_config()
+        return self._test_plan()
+
+    def _test_plan(self) -> TestPlan:
         p = self.plan
         probes = _seq(p.get("laplace_probes", ()), "plan.laplace_probes")
         orders = _seq(p.get("moment_orders", (1, 2)), "plan.moment_orders")
@@ -125,6 +136,7 @@ class ExperimentConfig:
                                 for i, k in enumerate(orders)),
             workers=self.workers,
             defect=p.get("defect"),
+            scales=self._floats("scales"),
         )
         if "r" in p:
             kwargs["r"] = _num(p["r"], "plan.r", int)
@@ -133,30 +145,30 @@ class ExperimentConfig:
                 kwargs[key] = _num(p[key], f"plan.{key}")
         return TestPlan(**kwargs)
 
-    def sweep_config(self) -> SweepConfig:
+    def _sweep_config(self) -> SweepConfig:
         p = self.plan
         return SweepConfig(
             chain=self.chain, mu=self.mu, start=self.start,
             replicates=_num(p.get("replicates", 200), "plan.replicates", int),
             seed=self.seed,
-            scales=self.scales(),
+            scales=self._floats("scales"),
             stop_kind=p.get("stop", "zero"),
-            level=_num(p["level"], "plan.level") if "level" in p else None,
             d=p.get("d"),
-            interval=_seq(p["interval"], "plan.interval")
-            if "interval" in p else None,
-            phi_kind=p.get("phi_kind",
-                           "log" if self.harness == "modulus-uniform"
-                           else "loglog"),
-            phi_scale=_num(p.get("phi_scale", 2.0), "plan.phi_scale"),
+            interval=self._interval() if "interval" in p else None,
             workers=self.workers,
         )
 
-    def scales(self):
-        if "scales" not in self.plan:
-            raise InvariantError("this harness needs a scales list")
-        return tuple(_num(v, "plan.scales")
-                     for v in _seq(self.plan["scales"], "plan.scales"))
+    def _floats(self, key):
+        path = f"plan.{key}"
+        return tuple(_num(v, path)
+                     for v in _seq(self.plan.get(key, ()), path))
+
+    def _interval(self):
+        ends = self._floats("interval")
+        if len(ends) != 2:
+            raise SchemaError(f"plan.interval: expected two numbers [c, d], "
+                              f"got {self.plan['interval']!r}")
+        return ends
 
 
 def _require_mapping(obj, path):
@@ -227,10 +239,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in doc:
             raise SchemaError(f"top level: missing key {key!r}")
     harness = doc["harness"]
-    if not isinstance(harness, str) or harness not in HARNESS_NUM:
+    if not isinstance(harness, str) or harness not in REGISTRY:
         raise SchemaError(
             f"harness: unknown id {harness!r}; expected one of "
-            f"{sorted(HARNESS_NUM)}"
+            f"{sorted(REGISTRY)}"
         )
     chain = _build_chain(doc["chain"])
     mu = None
@@ -252,13 +264,7 @@ def parse_config(text: str) -> ExperimentConfig:
         workers=_num(doc.get("workers", 1), "workers", int),
         figures=bool(doc.get("figures", True)),
     )
-    # eager validation so configuration errors surface at parse time
-    if harness in SWEEP_HARNESSES:
-        cfg.sweep_config()
-    else:
-        cfg.test_plan()
-        if harness == "reduction":
-            cfg.scales()
+    cfg.run_plan()  # so that configuration errors surface at parse time
     return cfg
 
 

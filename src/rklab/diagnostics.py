@@ -35,10 +35,18 @@ from .errors import (
     GridTooCoarse,
     InvariantError,
 )
-from .harnesses import MIN_CONDITIONED, TestPlan, _markov, _starts, tag_for
+from .harnesses import (
+    MIN_CONDITIONED,
+    SweepConfig,
+    TestPlan,
+    _markov,
+    _starts,
+    tag_for,
+)
 from .stats import ComparisonReport, StatRow, compare_sides, side_estimates, zscore
 
 SWEEP_BUDGET = 10**6  # lives per trace before a sweep gives up
+PHI_SCALE = 2.0
 
 
 @dataclass
@@ -50,6 +58,7 @@ class SweepResult:
     replicates: int
     seed: int
     metadata: dict = field(default_factory=dict)
+    verdict = True  # informational: a sweep never gates
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.scales, self.scales[1:])):
@@ -86,38 +95,6 @@ class SweepResult:
             yield (scale, ratio, self.target, self.replicates, self.seed)
 
 
-@dataclass
-class SweepConfig:
-    """One ratio sweep on a grid surrogate chain."""
-
-    chain: object
-    mu: object
-    start: object
-    replicates: int
-    seed: int
-    scales: tuple
-    stop_kind: str = "zero"        # zero | absorb | invlt
-    level: float | None = None     # invlt level
-    d: object = None               # local modulus centre
-    interval: tuple | None = None  # uniform modulus window
-    phi_kind: str = "loglog"
-    phi_scale: float = 2.0
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.replicates < 8:
-            raise InvariantError("sweeps need at least 8 replicates")
-        if any(b >= a for a, b in zip(self.scales, self.scales[1:])):
-            raise InvariantError("scales must be strictly decreasing")
-        if self.chain.coords is None:
-            raise InvariantError("sweeps need a chain with grid coordinates")
-        if self.stop_kind not in ("zero", "absorb", "invlt"):
-            raise InvariantError(f"unknown sweep stop {self.stop_kind!r}")
-        if self.stop_kind == "invlt" and (self.level is None or self.level <= 0):
-            raise InvariantError("invlt sweeps need a positive level")
-        self.mu.validate(self.chain)
-
-
 def _grid_spacing(chain):
     steps = np.diff(chain.coords)
     if steps.size == 0 or np.abs(steps - steps[0]).max() > 1e-12 * steps[0]:
@@ -132,31 +109,27 @@ def _check_grid(cfg, spacing):
         )
 
 
-def _modulus_phi(cfg, sigma2, offsets_coord):
-    """phi per offset: sqrt(phi_scale * sigma^2 * log-correction)."""
+def _modulus_phi(kind, sigma2, offsets_coord):
+    """phi per offset: sqrt(PHI_SCALE * sigma^2 * log-correction), with the
+    ``loglog`` correction of the local modulus or the ``log`` one of the
+    uniform modulus."""
     dist = np.abs(offsets_coord)
-    if cfg.phi_kind == "loglog":
+    if kind == "loglog":
         if np.any(dist >= np.exp(-1.0)):
             raise InvariantError("loglog correction needs scales below 1/e")
         corr = np.log(np.log(1.0 / dist))
-    elif cfg.phi_kind == "log":
+    else:
         if np.any(dist >= 1.0):
             raise InvariantError("log correction needs scales below 1")
         corr = np.log(1.0 / dist)
-    else:
-        raise InvariantError(f"unknown phi kind {cfg.phi_kind!r}")
-    return np.sqrt(cfg.phi_scale * sigma2 * corr)
+    return np.sqrt(PHI_SCALE * sigma2 * corr)
 
 
 def _sweep_fields(cfg, sweep_id):
     """Total fields of rebirthed traces run to the sweep's stop."""
     kernel = make_kernel(cfg.chain)
     start = ("fixed", cfg.chain.state_index(cfg.start))
-    level = None
-    stop = cfg.stop_kind
-    if stop == "invlt":
-        stop, level = "right", ("fixed", cfg.level)
-    out = _markov(cfg, sweep_id, 1, kernel, start, level, stop=stop,
+    out = _markov(cfg, sweep_id, 1, kernel, start, stop=cfg.stop_kind,
                   rebirth=mu_tables(cfg.chain, cfg.mu), r_max=SWEEP_BUDGET)
     if np.any(out["stop_epoch"] == 0):
         raise EpochBudgetExceeded(
@@ -206,7 +179,7 @@ def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
         for col in (d_col - o, d_col + o):
             if 0 <= col < n:
                 sig2 = u0[col, col] + u0[d_col, d_col] - 2.0 * u0[col, d_col]
-                phi = _modulus_phi(cfg, np.array([sig2]),
+                phi = _modulus_phi("loglog", np.array([sig2]),
                                    np.array([o * spacing]))[0]
                 np.maximum(running,
                            np.abs(fields[:, col] - fields[:, d_col]) / phi,
@@ -221,7 +194,7 @@ def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
         ratios=tuple(medians), target=1.0, replicates=cfg.replicates,
         seed=cfg.seed,
         metadata={"finite_counts": counts, "d": str(cfg.d),
-                  "stop_kind": cfg.stop_kind, "phi_kind": cfg.phi_kind},
+                  "stop_kind": cfg.stop_kind, "phi_kind": "loglog"},
     )
 
 
@@ -238,8 +211,6 @@ def uniform_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
                       & (chain.coords <= hi + 1e-12))[0]
     if cols.size < 9:
         raise GridTooCoarse("window holds fewer than 9 grid points")
-    if cfg.phi_kind == "loglog":
-        raise InvariantError("uniform modulus uses the log correction")
     u0 = potential_matrix(chain, 0.0).table
     if fields is None:
         fields = _sweep_fields(cfg, "modulus-uniform")
@@ -259,7 +230,7 @@ def uniform_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
         a = cols[:-o]
         b = cols[o:]
         sig2 = diag[a] + diag[b] - 2.0 * u0[a, b]
-        phi = _modulus_phi(cfg, sig2, np.full(a.size, o * spacing))
+        phi = _modulus_phi("log", sig2, np.full(a.size, o * spacing))
         np.maximum(
             running,
             (np.abs(F[:, o:] - F[:, :-o]) / phi[None, :]).max(axis=1),
@@ -275,7 +246,7 @@ def uniform_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
         ratios=tuple(medians), target=1.0, replicates=cfg.replicates,
         seed=cfg.seed,
         metadata={"finite_counts": counts, "interval": list(cfg.interval),
-                  "stop_kind": cfg.stop_kind, "phi_kind": cfg.phi_kind},
+                  "stop_kind": cfg.stop_kind, "phi_kind": "log"},
     )
 
 

@@ -7,17 +7,16 @@ Before any simulation runs, the first-moment identity behind the harness is
 evaluated analytically on both sides from the exact kernels and must agree
 to 1e-12; a failure there means mis-wired ensembles, not bad luck.
 
-Injected defects (``plan.defect``) deliberately break one ingredient so the
-test suite can demonstrate statistical power: ``unit-weights`` freezes the
-tilt weights at one, ``wrong-cov`` swaps the killed-at-zero covariance for
-the plain one, ``unconditioned-marginal``/``unconditioned-last`` drop the
-conditioning of an independent ensemble, ``no-rebirth-target`` compares the
-rebirthed normalisation against the unrebirthed kernel.
+:data:`REGISTRY` is the one table of harnesses: every harness id of a config
+maps to its run function, which declares the number that fixes its random
+streams (:func:`tag_for`), the plan type it takes and the injected defects
+(``plan.defect``) it implements.  A defect deliberately breaks one
+ingredient so that the test suite can demonstrate statistical power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,23 +60,9 @@ from .stats import (
 ANALYTIC_ATOL = 1e-12
 MIN_CONDITIONED = 1000
 
-HARNESS_NUM = {
-    "normalization": 1,
-    "eisenbaum": 2,
-    "first-rk": 3,
-    "first-rk-cond": 4,
-    "tminus": 5,
-    "second-rk": 6,
-    "second-rk-cond": 7,
-    "reduction": 8,
-    "modulus-local": 9,
-    "modulus-uniform": 10,
-    "lil": 11,
-}
-
 
 def tag_for(harness: str, role: int) -> int:
-    return HARNESS_NUM[harness] * 1000 + role
+    return REGISTRY[harness].num * 1000 + role
 
 
 @dataclass
@@ -101,12 +86,17 @@ class TestPlan:
     z_max: float = 4.0
     workers: int = 1
     defect: str | None = None
+    scales: tuple = ()  # sup scales of the reduction identity
 
     def __post_init__(self):
         if self.replicates < 10**4:
             raise InvariantError("replicates must be at least 1e4")
         if not self.test_points:
             raise InvariantError("test_points must be nonempty")
+        if not self.moment_orders or not set(self.moment_orders) <= {1, 2}:
+            raise InvariantError(
+                f"moment_orders must be a nonempty list of 1 and 2, got "
+                f"{list(self.moment_orders)}")
         for x in self.test_points:
             self.chain.state_index(x)
         if self.start is not None:
@@ -133,6 +123,37 @@ class TestPlan:
     @property
     def point_labels(self):
         return [str(x) for x in self.test_points]
+
+
+@dataclass
+class SweepConfig:
+    """One ratio sweep on a grid surrogate chain."""
+
+    chain: object
+    mu: object
+    start: object
+    replicates: int
+    seed: int
+    scales: tuple
+    stop_kind: str = "zero"        # zero | absorb
+    d: object = None               # local modulus centre
+    interval: tuple | None = None  # uniform modulus window
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.replicates < 8:
+            raise InvariantError("sweeps need at least 8 replicates")
+        if not self.scales:
+            raise InvariantError("sweeps need a scales list")
+        if any(b >= a for a, b in zip(self.scales, self.scales[1:])):
+            raise InvariantError("scales must be strictly decreasing")
+        if self.chain.coords is None:
+            raise InvariantError("sweeps need a chain with grid coordinates")
+        if self.stop_kind not in ("zero", "absorb"):
+            raise InvariantError(f"unknown sweep stop {self.stop_kind!r}")
+        if self.mu is None:
+            raise InvariantError("sweeps need a rebirth measure (mu)")
+        self.mu.validate(self.chain)
 
 
 # block workers (top level so process pools can pickle them) ----------------
@@ -342,15 +363,13 @@ def run_normalization(plan: TestPlan) -> ComparisonReport:
         raise InvariantError(
             "rebirth verification needs at least two states"
         )
-    if plan.mu is None:
-        raise InvariantError("normalization needs a rebirth measure")
     chain = plan.chain
+    mu_pack = mu_tables(chain, plan.mu)
     wmat = rebirthed_potential(chain, plan.mu, plan.p)
     target = wmat.table
     if plan.defect == "no-rebirth-target":
         target = potential_matrix(chain, plan.p).table
     kernel = make_kernel(chain)
-    mu_pack = mu_tables(chain, plan.mu)
     cols = plan.tp_cols
     # switch time H0: the Exp(p) clock finishes the last e^{-p H0} = 5 % of
     # each discount integral; an earlier switch (ln 10 / p) raised the
@@ -440,16 +459,14 @@ def run_first_rk(plan: TestPlan) -> ComparisonReport:
     unweighted, against tilted composites."""
     if plan.r < 1:
         raise InvariantError("first-rk needs r >= 1")
-    if plan.mu is None and plan.r >= 2:
-        raise InvariantError("first-rk with r >= 2 needs a rebirth measure")
     chain = plan.chain
+    mu_pack = mu_tables(chain, plan.mu) if plan.r >= 2 else None
     u0, ut, u0f, utf = _factors(plan)
     metadata = {"defect": plan.defect, "r": plan.r, "s": plan.s}
     if plan.defect != "wrong-cov":
         markov, gauss = _first_rk_analytic(plan, u0, ut)
         _check_analytic(markov, gauss, metadata)
     kernel = make_kernel(chain)
-    mu_pack = mu_tables(chain, plan.mu) if plan.mu is not None else None
     pos, y_pos, mu_vec = _on_readout(plan, u0f.keep)
 
     markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack)
@@ -593,6 +610,7 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
     if plan.t <= 0:
         raise InvariantError("second-rk needs t > 0")
     chain = plan.chain
+    mu_pack = mu_tables(chain, plan.mu) if plan.r >= 2 else None
     u0, ut, u0f, utf = _factors(plan)
     profile = hitting_profile(u0)
     metadata = {"defect": plan.defect, "r": plan.r, "s": plan.s, "t": plan.t}
@@ -600,7 +618,6 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
         markov, gauss = _second_rk_analytic(plan, u0, ut, profile)
         _check_analytic(markov, gauss, metadata)
     kernel = make_kernel(chain)
-    mu_pack = mu_tables(chain, plan.mu) if plan.mu is not None else None
     zero = chain.zero_index
     cols = plan.tp_cols
     pos, y_pos, mu_vec = _on_readout(plan, u0f.keep)
@@ -736,12 +753,53 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     )
 
 
+# The grid diagnostics live in :mod:`rklab.diagnostics`, which imports this
+# module; their run functions import it when called.
+
+def run_reduction(plan: TestPlan) -> ComparisonReport:
+    """The reduction identity at the sup scales ``plan.scales``."""
+    from . import diagnostics
+
+    return diagnostics.reduction_identity_test(plan, plan.scales)
+
+
+def run_modulus_local(cfg: SweepConfig):
+    from . import diagnostics
+
+    return diagnostics.local_modulus_sweep(cfg)
+
+
+def run_modulus_uniform(cfg: SweepConfig):
+    from . import diagnostics
+
+    return diagnostics.uniform_modulus_sweep(cfg)
+
+
+def run_lil(cfg: SweepConfig):
+    from . import diagnostics
+
+    return diagnostics.lil_sweep(cfg)
+
+
+def _entry(fn, num, defects=(), plan_type=TestPlan):
+    """Declare a harness on its run function: ``num`` fixes its random
+    streams (never renumber one), ``defects`` are the ``plan.defect`` names
+    it implements and ``plan_type`` is the type of its argument."""
+    fn.num, fn.defects, fn.plan_type = num, frozenset(defects), plan_type
+    return fn
+
+
 REGISTRY = {
-    "normalization": run_normalization,
-    "eisenbaum": run_eisenbaum,
-    "first-rk": run_first_rk,
-    "first-rk-cond": run_first_rk_cond,
-    "tminus": run_tminus,
-    "second-rk": run_second_rk,
-    "second-rk-cond": run_second_rk_cond,
+    "normalization": _entry(run_normalization, 1, ["no-rebirth-target"]),
+    "eisenbaum": _entry(run_eisenbaum, 2, ["unit-weights"]),
+    "first-rk": _entry(run_first_rk, 3, ["unit-weights", "wrong-cov"]),
+    "first-rk-cond": _entry(run_first_rk_cond, 4, ["unconditioned-marginal"]),
+    "tminus": _entry(run_tminus, 5, ["unconditioned-last"]),
+    "second-rk": _entry(run_second_rk, 6, ["unit-weights", "wrong-cov"]),
+    "second-rk-cond": _entry(run_second_rk_cond, 7,
+                             ["unconditioned-marginal"]),
+    "reduction": _entry(run_reduction, 8, ["single-life"]),
+    "modulus-local": _entry(run_modulus_local, 9, plan_type=SweepConfig),
+    "modulus-uniform": _entry(run_modulus_uniform, 10, plan_type=SweepConfig),
+    "lil": _entry(run_lil, 11, plan_type=SweepConfig),
 }

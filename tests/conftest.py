@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rklab.chains import ChainSpec, RebirthMeasure, build_chain, path_chain, reference_chain
+from rklab.chains import ChainSpec, RebirthMeasure, build_chain
+from plans import five_path_chain, reference_chain
 
 
 @pytest.fixture(scope="session")
@@ -32,8 +33,7 @@ def nonuniform_chain():
 
 @pytest.fixture(scope="session")
 def five_path():
-    return path_chain((-2, -1, 0, 1, 2), kill_rate=1.0,
-                      coords=(-2.0, -1.0, 0.0, 1.0, 2.0))
+    return five_path_chain()
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from rklab.chains import (
     potential_matrix,
     rebirthed_potential,
 )
+from rklab.config import load_config
 from rklab.diagnostics import (
     SweepConfig,
     lil_sweep,
@@ -31,7 +32,7 @@ from rklab.diagnostics import (
 from rklab.gaussfield import factor_covariance, second_rk_composites_block
 from rklab.harnesses import REGISTRY, TestPlan
 from rklab.reporting import write_sweep_csv
-from rklab.selftest import _ref_plan, absorbed_path_chain, reduction_chain
+from plans import absorbed_path_chain, reduction_chain, ref_plan
 
 SEED = 20260810
 N_FULL = 200_000
@@ -134,7 +135,7 @@ def test_criterion_02_structural_invariants(ref_chain, mu_plus,
 
 def test_criterion_03_normalization(ref_chain):
     t0 = time.perf_counter()
-    plan = _ref_plan(SEED, 1, replicates=N_FULL, start=None, p=1.0)
+    plan = ref_plan(SEED, 1, replicates=N_FULL, start=None, p=1.0)
     rep = REGISTRY["normalization"](plan)
     elapsed = time.perf_counter() - t0
     pair_rows = [r for r in rep.rows if r.statistic.startswith("w[")]
@@ -150,11 +151,11 @@ def test_criterion_04_first_rk():
     for r in (1, 2, 3):
         for s in (0.7, 1.0, 2.0):
             rep = REGISTRY["first-rk"](
-                _ref_plan(SEED, 1, replicates=N_FULL, r=r, s=s))
+                ref_plan(SEED, 1, replicates=N_FULL, r=r, s=s))
             ok &= rep.verdict
             worst = max(worst, rep.max_abs_z())
     defect = REGISTRY["first-rk"](
-        _ref_plan(SEED, 1, replicates=N_FULL, r=2, s=1.0,
+        ref_plan(SEED, 1, replicates=N_FULL, r=2, s=1.0,
                   defect="unit-weights"))
     ok &= not defect.verdict
     _verdict_line(4, ok,
@@ -169,7 +170,7 @@ def test_criterion_05_second_rk(ref_chain, mu_plus):
     for r in (1, 2):
         for t in (0.5, 2.0):
             rep = REGISTRY["second-rk"](
-                _ref_plan(SEED, 1, replicates=N_FULL, r=r, t=t))
+                ref_plan(SEED, 1, replicates=N_FULL, r=r, t=t))
             ok &= rep.verdict
             worst = max(worst, rep.max_abs_z())
     # t = 0 degeneracy is sample-exact with shared constituents
@@ -190,9 +191,9 @@ def test_criterion_05_second_rk(ref_chain, mu_plus):
 
 def test_criterion_06_conditional_independence():
     rep1 = REGISTRY["first-rk-cond"](
-        _ref_plan(SEED, 1, replicates=N_FULL, r=2))
+        ref_plan(SEED, 1, replicates=N_FULL, r=2))
     rep2 = REGISTRY["second-rk-cond"](
-        _ref_plan(SEED, 1, replicates=N_FULL, r=2, p=1.0))
+        ref_plan(SEED, 1, replicates=N_FULL, r=2, p=1.0))
     ok = rep1.verdict and rep2.verdict
     for rep in (rep1, rep2):
         stats = [r.statistic for r in rep.rows]
@@ -246,7 +247,7 @@ def _small_run(harness, workers):
             sweep = local_modulus_sweep(SweepConfig(d=64, **kw))
         elif harness == "modulus-uniform":
             sweep = uniform_modulus_sweep(
-                SweepConfig(interval=(0.25, 0.75), phi_kind="log", **kw))
+                SweepConfig(interval=(0.25, 0.75), **kw))
         else:
             sweep = lil_sweep(SweepConfig(**kw))
         return json.dumps(sweep.to_dict(), sort_keys=True)
@@ -265,14 +266,11 @@ def _small_run(harness, workers):
     kw = {"replicates": 10_000}
     if harness == "normalization":
         kw["start"] = None
-    return REGISTRY[harness](_ref_plan(SEED, workers, **kw)).to_json()
+    return REGISTRY[harness](ref_plan(SEED, workers, **kw)).to_json()
 
 
 def test_criterion_09_determinism():
-    ids = ["normalization", "eisenbaum", "first-rk", "first-rk-cond",
-           "tminus", "second-rk", "second-rk-cond", "reduction",
-           "modulus-local", "modulus-uniform", "lil"]
-    mismatched = [h for h in ids
+    mismatched = [h for h in REGISTRY
                   if _small_run(h, 1) != _small_run(h, 3)]
     _verdict_line(9, not mismatched,
                   "byte-identical reports for every harness across worker "
@@ -280,13 +278,11 @@ def test_criterion_09_determinism():
 
 
 def test_criterion_10_sweeps(tmp_path):
-    from rklab.selftest import default_suite
-
     medians = {}
-    for name, job in default_suite(seed=SEED):
-        if name not in ("modulus-local", "modulus-uniform", "lil"):
-            continue
-        sweep = job()
+    for name in ("modulus_local", "modulus_uniform", "lil"):
+        cfg = load_config(f"{cli.CONFIGS}/{name}.yaml")
+        assert cfg.seed == SEED
+        sweep = REGISTRY[cfg.harness](cfg.run_plan())
         path = tmp_path / f"{name}.csv"
         write_sweep_csv(sweep, path)
         lines = path.read_text().strip().splitlines()
@@ -294,7 +290,8 @@ def test_criterion_10_sweeps(tmp_path):
         assert len(lines) == 1 + len(sweep.scales)
         payload = sweep.to_dict()
         assert "within_factor2_band" in payload and payload["gating"] is False
-        medians[name] = (sweep.finest_median, payload["within_factor2_band"])
+        medians[cfg.harness] = (sweep.finest_median,
+                                payload["within_factor2_band"])
     ok = all(np.isfinite(v[0]) for v in medians.values())
     _verdict_line(10, ok,
                   "modulus and iterated-logarithm sweeps recorded with "

@@ -24,9 +24,8 @@ from rklab.chains import (
     killed_at_zero_potential,
     potential_matrix,
     rebirthed_potential,
-    reference_chain,
 )
-from rklab.selftest import absorbed_path_chain
+from plans import absorbed_path_chain, reference_chain
 from strategies import path_chains
 
 

@@ -3,13 +3,15 @@
 import glob
 import json
 import os
+import re
+import types
 
 import pytest
 
 from rklab import cli
-from rklab.config import SWEEP_HARNESSES, load_config, parse_config
+from rklab.config import load_config, parse_config
 from rklab.errors import InvariantError, SchemaError
-from rklab.harnesses import HARNESS_NUM, REGISTRY
+from rklab.harnesses import REGISTRY, SweepConfig, TestPlan
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -38,12 +40,24 @@ def test_shipped_configs_parse():
     for path in paths:
         cfg = load_config(path)
         seen.add(cfg.harness)
-    assert seen == set(HARNESS_NUM)  # every harness id is reachable
+    assert seen == set(REGISTRY)  # every harness has a shipped config
 
 
 def test_registry_covers_all_ids():
-    assert set(REGISTRY) | {"reduction"} | set(SWEEP_HARNESSES) \
-        == set(HARNESS_NUM)
+    # the numbers fix every random stream, so no harness is ever renumbered
+    assert {name: run.num for name, run in REGISTRY.items()} == {
+        "normalization": 1, "eisenbaum": 2, "first-rk": 3,
+        "first-rk-cond": 4, "tminus": 5, "second-rk": 6,
+        "second-rk-cond": 7, "reduction": 8, "modulus-local": 9,
+        "modulus-uniform": 10, "lil": 11,
+    }
+    for run in REGISTRY.values():
+        assert isinstance(run, types.FunctionType)
+        assert run.__module__ == "rklab.harnesses"
+        assert run.plan_type in (TestPlan, SweepConfig)
+        assert all(isinstance(d, str) for d in run.defects)
+    assert not any(run.defects for run in REGISTRY.values()
+                   if run.plan_type is SweepConfig)
 
 
 def test_unknown_key_rejected():
@@ -247,3 +261,97 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, edits, extra,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message is None or message in err[0], err
+
+
+def _shipped(name):
+    with open(os.path.join(CONFIG_DIR, f"{name}.yaml"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+NO_MU = (r"^mu:.*\n", "")
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    # defects are checked against the ones the harness declares
+    ("first_rk", (r"^  r: 2$", "  r: 2\n  defect: wrong-covv"),
+     "plan.defect: first-rk has no defect 'wrong-covv'"),
+    ("eisenbaum", (r"^  s: 1.0$", "  s: 1.0\n  defect: wrong-cov"),
+     "plan.defect: eisenbaum has no defect 'wrong-cov'"),
+    ("first_rk", (r"^  r: 2$", "  r: 2\n  defect: single-life"),
+     "plan.defect: first-rk has no defect 'single-life'"),
+    ("lil", (r"^  stop: zero$", "  stop: zero\n  defect: unit-weights"),
+     "plan.defect: lil has no defect 'unit-weights'"),
+    ("first_rk", (r"^  r: 2$", "  r: 2\n  defect: [unit-weights]"),
+     "plan.defect: first-rk has no defect ['unit-weights']"),
+    # a harness that rebirths needs mu
+    ("first_rk_cond", NO_MU, "a rebirth measure (mu)"),
+    ("second_rk", NO_MU, "a rebirth measure (mu)"),
+    ("second_rk_cond", NO_MU, "a rebirth measure (mu)"),
+    ("tminus", NO_MU, "a rebirth measure (mu)"),
+    ("reduction", NO_MU, "a rebirth measure (mu)"),
+    ("modulus_local", NO_MU, "a rebirth measure (mu)"),
+    # unhashable state labels
+    ("first_rk", (r"^start: -1$", "start: [1]"), "unknown state label [1]"),
+    ("first_rk", (r"^start: -1$", "start: {a: 1}"),
+     "unknown state label {'a': 1}"),
+    ("first_rk", (r"^  test_points: .*$", "  test_points: [[1]]"),
+     "unknown state label [1]"),
+    ("modulus_local", (r"^  d: 256$", "  d: [256]"),
+     "unknown state label [256]"),
+    # the uniform modulus window is two finite numbers
+    ("modulus_uniform", (r"^  interval: .*$", "  interval: [0.75]"),
+     "plan.interval: expected two numbers"),
+    ("modulus_uniform", (r"^  interval: .*$", "  interval: [a, b]"),
+     "plan.interval: expected a finite number, got 'a'"),
+    ("modulus_uniform", (r"^  interval: .*$", "  interval: [0.25, .inf]"),
+     "plan.interval: expected a finite number, got inf"),
+    # moments outside {1, 2} would drop rows silently
+    ("first_rk", (r"^  r: 2$", "  r: 2\n  moment_orders: [-1, 0]"),
+     "moment_orders must be a nonempty list of 1 and 2"),
+    ("first_rk", (r"^  r: 2$", "  r: 2\n  moment_orders: []"),
+     "moment_orders must be a nonempty list of 1 and 2"),
+    # a sweep needs its scales
+    ("lil", (r"^  scales: .*$", "  scales: []"), "sweeps need a scales list"),
+], ids=["defect-misspelt", "defect-undeclared", "defect-of-reduction",
+        "defect-on-sweep", "defect-list", "first-rk-cond-no-mu",
+        "second-rk-no-mu", "second-rk-cond-no-mu", "tminus-no-mu",
+        "reduction-no-mu", "modulus-local-no-mu", "start-list",
+        "start-mapping", "test-point-list", "centre-list",
+        "interval-one-number", "interval-strings", "interval-inf",
+        "moment-orders-outside", "moment-orders-empty", "sweep-scales-empty"])
+def test_bad_shipped_config_exits_2(tmp_path, capsys, name, edit, message):
+    text, count = re.subn(edit[0], edit[1], _shipped(name), flags=re.M)
+    assert count == 1
+    cfg_path = tmp_path / f"{name}.yaml"
+    cfg_path.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg_path), "--no-figures",
+                     "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0], err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_self_test_expects_fail_from_defects(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "clean.json"
+    clean = SMALL_EISENBAUM + f"output: {out}\n"
+    defect = SMALL_EISENBAUM.replace("  s: 1.0",
+                                     "  s: 1.0\n  defect: unit-weights")
+    (tmp_path / "a.yaml").write_text(clean)
+    (tmp_path / "b.yaml").write_text(defect)
+    monkeypatch.setattr(cli, "CONFIGS", str(tmp_path))
+    assert cli.main(["self-test"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("self-test a ") and " PASS " in lines[0]
+    assert lines[1].startswith("self-test b ") and " FAIL " in lines[1]
+    assert not out.exists()  # the self test writes no report
+    # a defect that passes, and a clean config that fails, are both misses
+    (tmp_path / "b.yaml").write_text(
+        defect.replace("  s: 1.0", "  s: 1.0\n  z_max: 1000000.0"))
+    assert cli.main(["self-test"]) == 1
+    (tmp_path / "b.yaml").write_text(clean.replace(
+        "  s: 1.0", "  s: 1.0\n  z_max: 0.000001"))
+    assert cli.main(["self-test"]) == 1
+    monkeypatch.setattr(cli, "CONFIGS", str(tmp_path / "missing"))
+    assert cli.main(["self-test"]) == 2

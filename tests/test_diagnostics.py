@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rklab.chains import RebirthMeasure, birth_death_chain
+from rklab.config import parse_config
 from rklab.diagnostics import (
     SweepConfig,
     SweepResult,
@@ -12,9 +13,9 @@ from rklab.diagnostics import (
     reduction_identity_test,
     uniform_modulus_sweep,
 )
-from rklab.errors import GridTooCoarse, InvariantError
+from rklab.errors import GridTooCoarse, InvariantError, SchemaError
 from rklab.harnesses import TestPlan
-from rklab.selftest import reduction_chain
+from plans import reduction_chain
 
 
 def _reduction_plan(replicates=40_000, seed=300, **kw):
@@ -41,14 +42,6 @@ def test_reduction_whole_interval():
     # in-law identity still holds
     rep = reduction_identity_test(_reduction_plan(seed=301), (1.0, 0.5))
     assert rep.verdict, f"max |z| = {rep.max_abs_z():.2f}"
-
-
-def test_reduction_single_life_defect_biased():
-    rep = reduction_identity_test(
-        _reduction_plan(replicates=100_000, seed=302, defect="single-life"),
-        (0.5, 0.25, 0.125),
-    )
-    assert not rep.verdict and rep.max_abs_z() > 6.0
 
 
 def test_reduction_grid_too_coarse():
@@ -84,7 +77,7 @@ def test_local_modulus_frozen_field():
 
 
 def test_uniform_modulus_frozen_field():
-    cfg = _sweep_cfg(interval=(0.25, 0.75), phi_kind="log")
+    cfg = _sweep_cfg(interval=(0.25, 0.75))
     fields = np.full((16, cfg.chain.n_states), 2.0)
     res = uniform_modulus_sweep(cfg, fields=fields)
     assert res.ratios == (0.0, 0.0)
@@ -129,10 +122,21 @@ def test_loglog_scale_ceiling():
 
 
 def test_uniform_rejects_loglog():
-    cfg = _sweep_cfg(interval=(0.25, 0.75), phi_kind="loglog")
-    with pytest.raises(InvariantError):
-        uniform_modulus_sweep(cfg,
-                              fields=np.ones((16, cfg.chain.n_states)))
+    # the correction is fixed per sweep: log here, and no config chooses it
+    cfg = _sweep_cfg(interval=(0.25, 0.75))
+    res = uniform_modulus_sweep(cfg, fields=np.ones((16, cfg.chain.n_states)))
+    assert res.metadata["phi_kind"] == "log"
+    doc = """
+harness: modulus-uniform
+chain: {kind: birth-death, n: 64, rate: 256.0}
+mu: {16: 1.0}
+start: 32
+plan: {replicates: 16, scales: [0.25, 0.125], interval: [0.25, 0.75],
+       phi_kind: loglog}
+seed: 1
+"""
+    with pytest.raises(SchemaError, match="phi_kind"):
+        parse_config(doc)
 
 
 def test_sweep_rejects_unknown_stop():

@@ -5,14 +5,21 @@ runs use smaller ensembles to keep the suite quick.  Defects produce biases,
 so a failure detected here only grows with the sample size.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rklab.chains import ChainSpec, RebirthMeasure, build_chain, path_chain
 from rklab.errors import ConditioningTooRare, DegenerateESS, InvariantError
 from rklab.harnesses import REGISTRY, TestPlan
-from rklab.selftest import _ref_plan, absorbed_path_chain, reduction_chain
 from rklab.stats import compare_fields
+from plans import (
+    absorbed_path_chain,
+    five_path_chain,
+    reduction_chain,
+    ref_plan,
+)
 
 N_FAST = 30_000
 
@@ -57,7 +64,7 @@ def test_single_state_rebirth_rejected():
     ("second-rk-cond", {"r": 2, "p": 1.0}),
 ])
 def test_reference_chain_passes(name, kw):
-    rep = REGISTRY[name](_ref_plan(911, 1, replicates=N_FAST, **kw))
+    rep = REGISTRY[name](ref_plan(911, 1, replicates=N_FAST, **kw))
     assert rep.verdict, f"max |z| = {rep.max_abs_z():.2f}"
     assert rep.metadata.get("analytic_first_moment_gap", 0.0) <= 1e-12
 
@@ -71,7 +78,7 @@ def test_nonuniform_measure_passes(nonuniform_chain):
 
 
 def test_normalization_passes(ref_chain, mu_plus):
-    plan = _ref_plan(913, 1, replicates=N_FAST, start=None, p=1.0)
+    plan = ref_plan(913, 1, replicates=N_FAST, start=None, p=1.0)
     rep = REGISTRY["normalization"](plan)
     assert rep.verdict, f"max |z| = {rep.max_abs_z():.2f}"
     labels = [row.statistic for row in rep.rows]
@@ -99,41 +106,53 @@ def test_tminus_passes():
     assert qc.lhs == 0.0 and qc.z == 0.0
 
 
-@pytest.mark.parametrize("name,kw", [
-    ("eisenbaum", {"defect": "unit-weights"}),
-    ("first-rk", {"r": 2, "defect": "unit-weights"}),
-    ("first-rk", {"r": 2, "defect": "wrong-cov"}),
-    ("second-rk", {"r": 2, "defect": "unit-weights"}),
-    ("second-rk", {"r": 2, "defect": "wrong-cov"}),
-    ("second-rk-cond", {"r": 2, "defect": "unconditioned-marginal"}),
-    ("normalization", {"start": None, "defect": "no-rebirth-target"}),
-])
-def test_defect_power_reference(name, kw):
-    rep = REGISTRY[name](_ref_plan(915, 1, replicates=N_FAST, **kw))
-    assert not rep.verdict
-    assert rep.max_abs_z() > 8.0
+def _ref_power(**kw):
+    return lambda: ref_plan(915, 1, replicates=N_FAST, **kw)
 
 
-def test_defect_power_cond_marginal(five_path):
+# (harness, defect) -> (plan of the power case, |z| the defect must exceed)
+POWER_CASES = {
+    ("normalization", "no-rebirth-target"): (_ref_power(start=None), 8.0),
+    ("eisenbaum", "unit-weights"): (_ref_power(), 8.0),
+    ("first-rk", "unit-weights"): (_ref_power(r=2), 8.0),
+    ("first-rk", "wrong-cov"): (_ref_power(r=2), 8.0),
+    ("second-rk", "unit-weights"): (_ref_power(r=2), 8.0),
+    ("second-rk", "wrong-cov"): (_ref_power(r=2), 8.0),
+    ("second-rk-cond", "unconditioned-marginal"): (_ref_power(r=2), 8.0),
     # the three-state chain is degenerate for this defect (single-hold lives
     # from the rebirth site), so power is demonstrated on the 5-state path
-    mu = RebirthMeasure(weights={2: 1.0})
-    base = dict(chain=five_path, mu=mu, start=-1, replicates=N_FAST,
-                seed=916, test_points=(-1, 1, 2), r=2)
-    ok = REGISTRY["first-rk-cond"](TestPlan(**base))
-    assert ok.verdict
-    bad = REGISTRY["first-rk-cond"](TestPlan(**base,
-                                             defect="unconditioned-marginal"))
-    assert not bad.verdict and bad.max_abs_z() > 8.0
+    ("first-rk-cond", "unconditioned-marginal"): (lambda: TestPlan(
+        chain=five_path_chain(), mu=RebirthMeasure(weights={2: 1.0}), start=-1,
+        replicates=N_FAST, seed=916, test_points=(-1, 1, 2), r=2), 8.0),
+    ("tminus", "unconditioned-last"): (lambda: TestPlan(
+        chain=absorbed_path_chain(), mu=RebirthMeasure(weights={2: 1.0}),
+        start=-1, replicates=N_FAST, seed=917, test_points=(-1, 1, 2),
+        r=2), 8.0),
+    ("reduction", "single-life"): (lambda: TestPlan(
+        chain=reduction_chain(), mu=RebirthMeasure(weights={32: 1.0}),
+        start=64, replicates=100_000, seed=302, test_points=(16, 32, 64),
+        r=2, scales=(0.5, 0.25, 0.125)), 6.0),
+}
+DECLARED = sorted((name, defect) for name, run in REGISTRY.items()
+                  for defect in run.defects)
 
 
-def test_defect_power_tminus():
-    chain = absorbed_path_chain()
-    plan = TestPlan(chain=chain, mu=RebirthMeasure(weights={2: 1.0}),
-                    start=-1, replicates=N_FAST, seed=917,
-                    test_points=(-1, 1, 2), r=2, defect="unconditioned-last")
-    rep = REGISTRY["tminus"](plan)
-    assert not rep.verdict and rep.max_abs_z() > 8.0
+@pytest.mark.parametrize("name,defect", DECLARED,
+                         ids=[f"{n}-{d}" for n, d in DECLARED])
+def test_declared_defect_has_power(name, defect):
+    # a declared defect without a power case fails here
+    assert set(POWER_CASES) == set(DECLARED)
+    make_plan, z_min = POWER_CASES[name, defect]
+    plan = dataclasses.replace(make_plan(), defect=defect)
+    rep = REGISTRY[name](plan)
+    assert not rep.verdict and rep.max_abs_z() > z_min
+
+
+def test_first_rk_cond_five_path_passes():
+    # the clean twin of the five-path power case
+    make_plan, _ = POWER_CASES["first-rk-cond", "unconditioned-marginal"]
+    rep = REGISTRY["first-rk-cond"](make_plan())
+    assert rep.verdict, f"max |z| = {rep.max_abs_z():.2f}"
 
 
 def test_conditioning_too_rare():
@@ -185,6 +204,6 @@ def test_second_rk_large_t_probe(ref_chain, mu_plus):
 
 def test_workers_do_not_change_reports():
     for name, kw in [("first-rk", {"r": 2}), ("first-rk-cond", {"r": 2})]:
-        a = REGISTRY[name](_ref_plan(920, 1, replicates=10_000, **kw))
-        b = REGISTRY[name](_ref_plan(920, 2, replicates=10_000, **kw))
+        a = REGISTRY[name](ref_plan(920, 1, replicates=10_000, **kw))
+        b = REGISTRY[name](ref_plan(920, 2, replicates=10_000, **kw))
         assert a.to_json() == b.to_json()

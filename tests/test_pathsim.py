@@ -11,7 +11,7 @@ from rklab.chains import (
     hitting_profile,
     potential_matrix,
 )
-from rklab.selftest import absorbed_path_chain
+from plans import absorbed_path_chain
 from test_batch import _mean_within
 
 
