@@ -28,20 +28,31 @@ A death is any outcome that leaves the space: a kill or an absorption.
 With ``r_max`` a lane whose r_max-th life dies is abandoned: it ends with
 ``stop_epoch`` 0.
 
-Record kinds (``record``):
+Record kinds (``record``), each kept at the states ``cols`` in that order
+(every state, ascending, when ``cols`` is None):
 
 * ``total``    ``field`` (N, n): the local-time field over the whole run;
   at a level crossing the zero entry is assigned the level exactly;
 * ``epochs``   ``fields`` (N, r_max, n), one field per life, and
   ``bounds`` (N, r_max), the time at which each life died; a crossing adds
   level - l0 to the zero entry of the stopping life;
-* ``discount`` ``V`` (N, len(cols)), the discounted local times at the
-  states ``cols``, and ``rowsum``, the same over every state, m-weighted.
+* ``discount`` ``V`` (N, len(cols)), the discounted local times (``cols``
+  is required), and ``rowsum``, the same over every state, m-weighted.
   Up to the switch time H0 = ``horizon`` a hold is weighted by its exact
   integral of exp(-p s); past H0 each hold of length d counts
   e^{-p H0} (1 - e^{-p d}) / p.  A hold [a, a + d] that straddles H0 is
   split there.  Without levels the ``horizon`` stop ends the lane in the
   hold that reaches H0, so ``rowsum`` is exactly (1 - e^{-p t})/p.
+
+With ``cols`` the ``total`` and ``epochs`` records are returned as
+``field_cols`` (N, len(cols)) and ``fields_cols`` (N, r_max, len(cols)), so
+that a reader of ``field``/``fields`` never meets a record narrower than the
+chain.  The untracked states of every record add to a spare last column that
+is dropped at return (a record of every state has none), so the exact level
+at 0 and the strict clamp's copy of the field need no case for an untracked
+0.  A tracked column receives the
+same additions in the same order as in the record of every state, so it
+equals that record's column bit for bit.
 
 Why the clocked ``discount`` record is unbiased.  With the ``horizon``
 stop and independent Exp(p) levels T, the lane runs every hold that starts
@@ -76,11 +87,11 @@ The work of a round is over the ascending index of the live lanes, carried
 from round to round (``idx = idx[alive[idx]]``), never over all N.  An
 outcome is picked from flat tables (:class:`Kernel`): one comparison per
 threshold column, then one gather from the flattened targets.  Each record
-is scattered into through one flat index (lane, life, state); untracked
-states of a ``discount`` record go to a spare column that is dropped at
-return.  Every output is bit-identical to the plain 2-D reading of this
-draw order; ``tests/test_batch.py`` pins the digests of the outputs, so an
-engine change that moves a draw or a rounding fails there.
+is scattered into through one flat index (lane, life, column), with the
+column of a state from one ``col_of`` table.  Every output is
+bit-identical to the plain 2-D reading of this draw order;
+``tests/test_batch.py`` pins the digests of the outputs, so an engine
+change that moves a draw or a rounding fails there.
 
 This is the only path engine.  Its oracles are exact laws: the mean field
 of a life is a row of its Green kernel G (``u0``, or the killed-at-0 kernel
@@ -239,10 +250,11 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     the level stops, or the clocks added to ``horizon`` by the ``horizon``
     stop; ``clamp`` picks what a single life that dies before its left level
     keeps (``strict``: the field at the end of its last visit to 0;
-    ``total``: the whole life).  ``horizon``, ``p`` and ``cols`` are the
-    switch time, the discount rate and the tracked states of the
-    ``discount`` record; ``track_min`` adds the lowest state index each life
-    visited to the ``epochs`` record of the ``zero`` stop.
+    ``total``: the whole life).  ``horizon`` and ``p`` are the switch time
+    and the discount rate of the ``discount`` record; ``cols`` are the
+    distinct states a record keeps (every state by default);
+    ``track_min`` adds the lowest state index each life visited to the
+    ``epochs`` record of the ``zero`` stop.
     """
     if stop not in STOPS or record not in RECORDS:
         raise ValueError(f"unknown stop {stop!r} or record {record!r}")
@@ -252,8 +264,9 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     if (stop == "horizon" or record == "discount") and horizon is None:
         raise ValueError(f"stop {stop!r} with record {record!r} needs a "
                          "horizon")
-    if record == "discount" and (p is None or cols is None):
-        raise ValueError("the discount record needs p and cols")
+    if record == "discount" and (p is None or cols is None or level_stop):
+        raise ValueError("the discount record needs p and cols, and no "
+                         "level stop")
     st = np.array(starts, dtype=np.int64)
     N = st.shape[0]
     n = kernel.n
@@ -263,25 +276,35 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     counted = rebirth is not None and r_max is not None
     if (per_epoch or track_min) and not counted:
         raise ValueError("per-life records need a rebirth table and r_max")
+    # a record of some states only is returned under its own key, so that
+    # no reader of ``field``/``fields`` meets one narrower than the chain
+    suffix = "" if cols is None else "_cols"
+    cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.int64)
+    if cols.ndim != 1 or np.unique(cols).size != cols.size \
+            or (cols.size and (cols.min() < 0 or cols.max() >= n)):
+        raise ValueError(f"cols must be distinct states in [0, {n}), got "
+                         f"{cols.tolist()}")
     alive = np.ones(N, dtype=bool)
     stopped = np.zeros(N, dtype=bool)
     t = np.zeros(N)
-    # every record is scattered into through a flat view of its array
+    # the record has one column per tracked state and, if some state is
+    # untracked, a spare last column for them, dropped at return; it is
+    # scattered into through a flat view, at (row, col_of[state]) with one
+    # row per lane, or per (lane, life) under ``epochs``
+    k = cols.size
+    width = k + (k < n)
+    col_of = np.full(n, width - 1, dtype=np.int64)
+    col_of[cols] = np.arange(k)
     if counted:
         ep = np.ones(N, dtype=np.int64)
     if per_epoch:
-        fields = np.zeros((N, r_max, n))
+        rec = np.zeros((N, r_max, width))
         bounds = np.full((N, r_max), np.nan)
-        fields_flat, bounds_flat = fields.reshape(-1), bounds.reshape(-1)
-    elif record == "total":
-        field = np.zeros((N, n))
-        field_flat = field.reshape(-1)
+        bounds_flat = bounds.reshape(-1)
     else:
-        width = len(cols) + 1  # untracked states add to a spare last column
-        col_of = np.full(n, width - 1, dtype=np.int64)
-        col_of[np.asarray(cols)] = np.arange(width - 1)
-        V = np.zeros((N, width))
-        V_flat = V.reshape(-1)
+        rec = np.zeros((N, width))
+    rec_flat = rec.reshape(-1)
+    if record == "discount":
         rowsum = np.zeros(N)
         tail = np.exp(-p * horizon)
     if stop == "horizon":
@@ -297,7 +320,8 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
         l0 = np.zeros(N)
         ties = 0
         if record == "total" and rebirth is None and clamp == "strict":
-            snap = np.zeros((N, n))  # field at the end of the last 0-visit
+            # the record at the end of the last visit to 0
+            snap = np.zeros((N, width))
     if track_min:
         low = np.full((N, r_max), -1, dtype=np.int64)
         low[:, 0] = st
@@ -320,11 +344,12 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
             ci = idx[crossing]
             if ci.size:
                 t[ci] += (levels[ci] - l0[ci]) * m0
+                row = ci * r_max + ep[ci] - 1 if per_epoch else ci
+                at = row * width + col_of[zero]
                 if per_epoch:
-                    at = (ci * r_max + ep[ci] - 1) * n + zero
-                    fields_flat[at] += levels[ci] - l0[ci]
+                    rec_flat[at] += levels[ci] - l0[ci]
                 else:
-                    field_flat[ci * n + zero] = levels[ci]  # exact
+                    rec_flat[at] = levels[ci]  # exact
                 l0[ci] = levels[ci]
                 stopped[ci] = True
                 alive[ci] = False
@@ -339,12 +364,10 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
             w = (np.exp(-p * a) * -np.expm1(-p * b)
                  + tail * -np.expm1(-p * (d - b))) / p
             np.add.at(rowsum, idx, w)
-            np.add.at(V_flat, idx * width + col_of[s], w / m[s])
-        elif per_epoch:
-            np.add.at(fields_flat, (idx * r_max + ep[idx] - 1) * n + s,
-                      d / m[s])
         else:
-            np.add.at(field_flat, idx * n + s, d / m[s])
+            w = d
+        row = idx * r_max + ep[idx] - 1 if per_epoch else idx
+        np.add.at(rec_flat, row * width + col_of[s], w / m[s])
         np.add.at(t, idx, d)
         u = rng.random(n_round)  # one per lane alive at the start of the round
         nxt = _outcome(kernel, s, u if keep is None else u[keep])
@@ -357,7 +380,7 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
                 bounds_flat[di * r_max + ep[di] - 1] = t[di]
             if snap is not None:
                 at0_dead = di[s[dead] == zero]
-                snap[at0_dead] = field[at0_dead]
+                snap[at0_dead] = rec[at0_dead]
             if stop == "absorb":
                 absorbed = nxt[dead] == ABSORB
                 stopped[di[absorbed]] = True
@@ -382,7 +405,7 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
 
         if snap is not None:
             leaving = idx[(s == zero) & (nxt >= 0)]
-            snap[leaving] = field[leaving]
+            snap[leaving] = rec[leaving]
         if stop == "zero" and zero is not None:
             entering = tg == zero
             ei = ji[entering]
@@ -405,13 +428,14 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
 
     out = {"t": t, "stopped": stopped, "state": st}
     if per_epoch:
-        out["fields"] = fields
+        out["fields" + suffix] = rec[:, :, :k]
         out["bounds"] = bounds
     elif record == "total":
-        out["field"] = field if snap is None \
-            else np.where(stopped[:, None], field, snap)
+        out["field" + suffix] = (
+            rec if snap is None else np.where(stopped[:, None], rec, snap)
+        )[:, :k]
     else:
-        out["V"] = V[:, :-1]
+        out["V"] = rec[:, :k]
         out["rowsum"] = rowsum
     if counted:
         out["epochs"] = ep

@@ -22,7 +22,7 @@ from .chains import (
     potential_matrix,
     rebirthed_potential,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _num, load_config
 from .diagnostics import SweepResult
 from .errors import RKLabError
 from .harnesses import REGISTRY
@@ -132,7 +132,7 @@ def cmd_dump_potentials(args) -> int:
     if not os.path.isdir(outdir):
         raise RKLabError(f"output directory {outdir!r} does not exist")
     chain = cfg.chain
-    p = float(cfg.plan.get("p", 1.0))
+    p = _num(cfg.plan.get("p", 1.0), "plan.p")
     u0 = potential_matrix(chain, 0.0)
     write_potentials_csv(u0, os.path.join(outdir, "u0.csv"))
     write_potentials_csv(potential_matrix(chain, p),

@@ -125,17 +125,20 @@ def _modulus_phi(kind, sigma2, offsets_coord):
     return np.sqrt(PHI_SCALE * sigma2 * corr)
 
 
-def _sweep_fields(cfg, sweep_id):
-    """Total fields of rebirthed traces run to the sweep's stop."""
+def _sweep_fields(cfg, sweep_id, window):
+    """Total fields, on the states ``window``, of rebirthed traces run to the
+    sweep's stop.  ``fields`` injected into a sweep (its testing hook) are
+    over every state and are cut to the same window."""
     kernel = make_kernel(cfg.chain)
     start = ("fixed", cfg.chain.state_index(cfg.start))
     out = _markov(cfg, sweep_id, 1, kernel, start, stop=cfg.stop_kind,
-                  rebirth=mu_tables(cfg.chain, cfg.mu), r_max=SWEEP_BUDGET)
+                  rebirth=mu_tables(cfg.chain, cfg.mu), r_max=SWEEP_BUDGET,
+                  cols=window)
     if np.any(out["stop_epoch"] == 0):
         raise EpochBudgetExceeded(
             f"trace exceeded {SWEEP_BUDGET} lives before the stop fired"
         )
-    return out["field"]
+    return out["field_cols"]
 
 
 def _median_ratios(per_scale):
@@ -160,11 +163,13 @@ def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     if chain.zero_accessible and d_col == chain.zero_index:
         raise InvariantError("local modulus centre must differ from 0")
     u0 = potential_matrix(chain, 0.0).table
-    if fields is None:
-        fields = _sweep_fields(cfg, "modulus-local")
-
     o_max = int(np.floor(max(cfg.scales) / spacing + 1e-9))
     n = chain.n_states
+    # the window d +- o for o <= o_max; column col of the chain is col - lo
+    lo = max(d_col - o_max, 0)
+    window = np.arange(lo, min(d_col + o_max, n - 1) + 1)
+    fields = _sweep_fields(cfg, "modulus-local", window) if fields is None \
+        else fields[:, window]
     per_scale = []
     running = np.zeros(fields.shape[0])
     # offsets ascending; record the running maximum at each scale checkpoint
@@ -173,7 +178,7 @@ def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     )
     ci = 0
     at_scale = {}
-    denom = np.sqrt(2.0 * fields[:, d_col])
+    denom = np.sqrt(2.0 * fields[:, d_col - lo])
     denom[denom == 0.0] = np.nan
     for o in range(1, o_max + 1):
         for col in (d_col - o, d_col + o):
@@ -182,7 +187,8 @@ def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
                 phi = _modulus_phi("loglog", np.array([sig2]),
                                    np.array([o * spacing]))[0]
                 np.maximum(running,
-                           np.abs(fields[:, col] - fields[:, d_col]) / phi,
+                           np.abs(fields[:, col - lo]
+                                  - fields[:, d_col - lo]) / phi,
                            out=running)
         while ci < len(checkpoints) and checkpoints[ci][0] == o:
             at_scale[checkpoints[ci][1]] = running / denom
@@ -212,9 +218,8 @@ def uniform_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     if cols.size < 9:
         raise GridTooCoarse("window holds fewer than 9 grid points")
     u0 = potential_matrix(chain, 0.0).table
-    if fields is None:
-        fields = _sweep_fields(cfg, "modulus-uniform")
-    F = fields[:, cols]
+    F = _sweep_fields(cfg, "modulus-uniform", cols) if fields is None \
+        else fields[:, cols]
     denom = np.sqrt(2.0 * F.max(axis=1))
     denom[denom == 0.0] = np.nan
 
@@ -261,14 +266,15 @@ def lil_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     if max(cfg.scales) >= np.exp(-1.0):
         raise InvariantError("iterated-logarithm scales must stay below 1/e")
     coords = chain.coords
-    if fields is None:
-        fields = _sweep_fields(cfg, "lil")
+    window = _delta_cols(chain, [max(cfg.scales)])[0]
+    fields = _sweep_fields(cfg, "lil", window) if fields is None \
+        else fields[:, window]
     per_scale = []
-    for delta in cfg.scales:
-        cols = np.nonzero((coords > 1e-12) & (coords <= delta + 1e-12))[0]
+    for cols in _delta_cols(chain, cfg.scales):
         s = coords[cols]
         denom = s * np.log(np.log(1.0 / s))
-        per_scale.append((fields[:, cols] / denom[None, :]).max(axis=1))
+        at = np.searchsorted(window, cols)
+        per_scale.append((fields[:, at] / denom[None, :]).max(axis=1))
     medians, counts = _median_ratios(per_scale)
     return SweepResult(
         sweep_id="lil", scales=tuple(cfg.scales), ratios=tuple(medians),
@@ -280,6 +286,7 @@ def lil_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
 # reduction identity ----------------------------------------------------------
 
 def _delta_cols(chain, deltas):
+    """The states in (0, delta] for each delta, ascending."""
     cols = []
     for delta in deltas:
         c = np.nonzero((chain.coords > 1e-12)
@@ -292,49 +299,50 @@ def _delta_cols(chain, deltas):
     return cols
 
 
-def _blk_reduction_lhs(kernel, mu_pack, start_idx, r, dcols, size, seed,
-                       tag, b):
+def _blk_reduction_lhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
+                       seed, tag, b):
     rng = block_rng(seed, tag, b)
     starts = np.full(size, start_idx, dtype=np.int64)
     out = simulate(kernel, starts, rng, stop="zero", record="epochs",
-                   rebirth=mu_pack, r_max=r, track_min=True)
+                   rebirth=mu_pack, r_max=r, track_min=True, cols=keep)
     kept = out["stop_epoch"] == r
-    total = out["fields"][kept].sum(axis=1)
-    sups = np.stack([total[:, c].max(axis=1) for c in dcols], axis=1) \
-        if kept.any() else np.zeros((0, len(dcols)))
+    fields = out["fields_cols"][kept]
+    total = fields.sum(axis=1)
+    sups = np.stack([total[:, c].max(axis=1) for c in dpos], axis=1) \
+        if kept.any() else np.zeros((0, len(dpos)))
+    # an early life holds no local time below the lowest state it visited;
+    # checked on the recorded states, which lie next to 0
     viol = 0
-    cols_idx = np.arange(kernel.n)
     for e in range(r - 1):
-        f = out["fields"][kept][:, e, :]
         mi = out["min_index"][kept][:, e]
-        below = cols_idx[None, :] < mi[:, None]
-        viol += int(np.count_nonzero((f != 0.0) & below))
+        below = keep[None, :] < mi[:, None]
+        viol += int(np.count_nonzero((fields[:, e, :] != 0.0) & below))
     return {"sups": sups, "kept": int(np.count_nonzero(kept)),
             "raw": size, "viol_851": viol}
 
 
-def _blk_reduction_rhs(kernel, mu_pack, start_idx, r, dcols, size, seed,
-                       tag, b):
+def _blk_reduction_rhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
+                       seed, tag, b):
     # one stream per block: the early lives and the hitting life are drawn
     # sequentially, hence independent
     rng = block_rng(seed, tag, b)
     parts = []
     starts_y = np.full(size, start_idx, dtype=np.int64)
-    ep = simulate(kernel, starts_y, rng, stop="zero")
-    parts.append(ep["field"][~ep["stopped"]])
+    ep = simulate(kernel, starts_y, rng, stop="zero", cols=keep)
+    parts.append(ep["field_cols"][~ep["stopped"]])
     for _ in range(r - 2):
         starts_mu = _starts(("mu",) + mu_pack, size, rng)
-        ep = simulate(kernel, starts_mu, rng, stop="zero")
-        parts.append(ep["field"][~ep["stopped"]])
+        ep = simulate(kernel, starts_mu, rng, stop="zero", cols=keep)
+        parts.append(ep["field_cols"][~ep["stopped"]])
     starts_mu = _starts(("mu",) + mu_pack, size, rng)
-    ep = simulate(kernel, starts_mu, rng, stop="zero")
-    hit_fields = ep["field"][ep["stopped"]]
+    ep = simulate(kernel, starts_mu, rng, stop="zero", cols=keep)
+    hit_fields = ep["field_cols"][ep["stopped"]]
     m = min([p.shape[0] for p in parts] + [hit_fields.shape[0]])
     total = hit_fields[:m].copy()
     for p in parts:
         total += p[:m]
-    sups = np.stack([total[:, c].max(axis=1) for c in dcols], axis=1)
-    single = np.stack([hit_fields[:m, :][:, c].max(axis=1) for c in dcols],
+    sups = np.stack([total[:, c].max(axis=1) for c in dpos], axis=1)
+    single = np.stack([hit_fields[:m, :][:, c].max(axis=1) for c in dpos],
                       axis=1)
     return {"sups": sups, "single": single, "paired": m}
 
@@ -357,6 +365,9 @@ def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
     if not deltas:
         raise InvariantError("reduction test needs sup scales")
     dcols = _delta_cols(chain, deltas)
+    # record the states in (0, max delta]; each sup reads its positions there
+    keep = dcols[int(np.argmax(deltas))]
+    dpos = [np.searchsorted(keep, c) for c in dcols]
     kernel = make_kernel(chain)
     mu_pack = mu_tables(chain, plan.mu)
     y = chain.state_index(plan.start)
@@ -364,10 +375,10 @@ def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
     lhs_payloads, rhs_payloads = [], []
     for b, size in enumerate(block_plan(plan.replicates)):
         lhs_payloads.append((_blk_reduction_lhs,
-                             (kernel, mu_pack, y, plan.r, dcols, size,
+                             (kernel, mu_pack, y, plan.r, keep, dpos, size,
                               plan.seed, tag_for("reduction", 1), b)))
         rhs_payloads.append((_blk_reduction_rhs,
-                             (kernel, mu_pack, y, plan.r, dcols, size,
+                             (kernel, mu_pack, y, plan.r, keep, dpos, size,
                               plan.seed, tag_for("reduction", 2), b)))
     lhs_out = map_blocks(lhs_payloads, plan.workers)
     rhs_out = map_blocks(rhs_payloads, plan.workers)

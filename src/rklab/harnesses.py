@@ -97,8 +97,9 @@ class TestPlan:
             raise InvariantError(
                 f"moment_orders must be a nonempty list of 1 and 2, got "
                 f"{list(self.moment_orders)}")
-        for x in self.test_points:
-            self.chain.state_index(x)
+        if len(set(self.tp_cols.tolist())) != len(self.test_points):
+            raise InvariantError(f"test_points must be distinct states, got "
+                                 f"{list(self.test_points)}")
         if self.start is not None:
             if self.chain.zero_accessible \
                     and self.chain.state_index(self.start) == self.chain.zero_index:
@@ -418,10 +419,10 @@ def run_eisenbaum(plan: TestPlan) -> ComparisonReport:
     _check_analytic(markov, gauss, metadata)
 
     kernel = make_kernel(chain)
-    eps = _markov(plan, "eisenbaum", 1, kernel, ("fixed", y))
+    eps = _markov(plan, "eisenbaum", 1, kernel, ("fixed", y), cols=cols)
     gl = _ensemble(plan, "eisenbaum", 2, _blk_gauss_shift_sq, u0f, plan.s,
                    y_pos)
-    lhs = eps["field"][:, cols] + gl["vals"][:, pos]
+    lhs = eps["field_cols"][:, np.arange(cols.size)] + gl["vals"][:, pos]
     gr = _ensemble(plan, "eisenbaum", 3, _blk_gauss_shift_sq, u0f, plan.s,
                    y_pos)
     rhs = gr["vals"][:, pos]
@@ -434,24 +435,27 @@ def run_eisenbaum(plan: TestPlan) -> ComparisonReport:
     )
 
 
-def _first_rk_markov_fields(plan, kernel, mu_pack, harness="first-rk"):
-    """Sum of the lives on the Markov side of the hitting-time identity."""
+def _first_rk_markov_fields(plan, kernel, mu_pack, keep,
+                            harness="first-rk"):
+    """Sum of the lives on the Markov side of the hitting-time identity, on
+    the readout set ``keep``."""
     chain = plan.chain
     y = chain.state_index(plan.start)
     total = None
     if plan.r >= 2:
-        ep = _markov(plan, harness, 20, kernel, ("fixed", y))
-        total = ep["field"]
+        ep = _markov(plan, harness, 20, kernel, ("fixed", y), cols=keep)
+        total = ep["field_cols"]
         for i in range(2, plan.r):
-            ep = _markov(plan, harness, 20 + i, kernel, ("mu",) + mu_pack)
-            total = total + ep["field"]
+            ep = _markov(plan, harness, 20 + i, kernel, ("mu",) + mu_pack,
+                         cols=keep)
+            total = total + ep["field_cols"]
         killed = _markov(plan, harness, 40, kernel, ("mu",) + mu_pack,
-                         stop="zero")
+                         stop="zero", cols=keep)
     else:
         killed = _markov(plan, harness, 40, kernel, ("fixed", y),
-                         stop="zero")
-    total = killed["field"] if total is None else total + killed["field"]
-    return total
+                         stop="zero", cols=keep)
+    field = killed["field_cols"]
+    return field if total is None else total + field
 
 
 def run_first_rk(plan: TestPlan) -> ComparisonReport:
@@ -469,11 +473,10 @@ def run_first_rk(plan: TestPlan) -> ComparisonReport:
     kernel = make_kernel(chain)
     pos, y_pos, mu_vec = _on_readout(plan, u0f.keep)
 
-    markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack)
+    markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack, u0f.keep)
     gl = _ensemble(plan, "first-rk", 60, _blk_gauss_first,
                    plan.r, plan.s, u0f, utf, y_pos, mu_vec)
-    cols = plan.tp_cols
-    lhs = markov_fields[:, cols] + gl["field"][:, pos]
+    lhs = markov_fields[:, pos] + gl["field"][:, pos]
     gr = _ensemble(plan, "first-rk", 61, _blk_gauss_first,
                    plan.r, plan.s, u0f, utf, y_pos, mu_vec)
     rhs = gr["field"][:, pos]
@@ -499,23 +502,26 @@ def run_first_rk_cond(plan: TestPlan) -> ComparisonReport:
     cols = plan.tp_cols
     r = plan.r
 
+    at = np.arange(cols.size)  # the test points' columns in a record on cols
+
     traces = _markov(plan, "first-rk-cond", 1, kernel, ("fixed", y),
-                     stop="zero", record="epochs", rebirth=mu_pack, r_max=r)
+                     stop="zero", record="epochs", rebirth=mu_pack, r_max=r,
+                     cols=cols)
     kept = traces["stop_epoch"] == r
     n_kept = int(np.count_nonzero(kept))
     if n_kept < MIN_CONDITIONED:
         raise ConditioningTooRare(
             f"only {n_kept} of {plan.replicates} traces stopped at epoch {r}"
         )
-    early = traces["fields"][kept][:, 0, :][:, cols]
-    last = traces["fields"][kept][:, r - 1, :][:, cols]
+    early = traces["fields_cols"][kept][:, 0, :][:, at]
+    last = traces["fields_cols"][kept][:, r - 1, :][:, at]
 
     marginal = _markov(plan, "first-rk-cond", 2, kernel, ("mu",) + mu_pack,
-                       stop="zero")
+                       stop="zero", cols=cols)
     if plan.defect == "unconditioned-marginal":
-        ref = marginal["field"][:, cols]
+        ref = marginal["field_cols"][:, at]
     else:
-        ref = marginal["field"][marginal["stopped"]][:, cols]
+        ref = marginal["field_cols"][marginal["stopped"]][:, at]
 
     rows = compare_sides(
         side_estimates(last, plan.point_labels, plan.laplace_probes,
@@ -533,7 +539,7 @@ def run_first_rk_cond(plan: TestPlan) -> ComparisonReport:
     for i in range(1, r + 1):
         spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
         ens = _markov(plan, "first-rk-cond", 10 + i, kernel, spec,
-                      stop="zero")
+                      stop="zero", cols=cols)
         frac_hit = float(np.mean(ens["stopped"]))
         fracs.append(frac_hit if i == r else 1.0 - frac_hit)
         ns.append(ens["stopped"].shape[0])
@@ -562,21 +568,24 @@ def run_tminus(plan: TestPlan) -> ComparisonReport:
     cols = plan.tp_cols
     r = plan.r
 
+    at = np.arange(cols.size)  # the test points' columns in a record on cols
+
     traces = _markov(plan, "tminus", 1, kernel, ("fixed", y), stop="absorb",
-                     record="epochs", rebirth=mu_pack, r_max=r)
+                     record="epochs", rebirth=mu_pack, r_max=r, cols=cols)
     kept = traces["stop_epoch"] == r
     n_kept = int(np.count_nonzero(kept))
     if n_kept < MIN_CONDITIONED:
         raise ConditioningTooRare(
             f"only {n_kept} of {plan.replicates} traces absorbed at epoch {r}"
         )
-    lhs = traces["fields"][kept].sum(axis=1)[:, cols]
+    lhs = traces["fields_cols"][kept].sum(axis=1)[:, at]
 
     parts = []
     qc_violations = 0
     for i in range(1, r + 1):
         spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
-        ens = _markov(plan, "tminus", 10 + i, kernel, spec, stop="absorb")
+        ens = _markov(plan, "tminus", 10 + i, kernel, spec, stop="absorb",
+                      cols=cols)
         absorbed = ens["stopped"]
         # an absorbed life must end next to 0, where absorption has a rate
         qc_violations += int(np.count_nonzero(
@@ -588,7 +597,7 @@ def run_tminus(plan: TestPlan) -> ComparisonReport:
             keep = np.ones_like(absorbed)
         else:
             keep = ~absorbed
-        parts.append(ens["field"][keep][:, cols])
+        parts.append(ens["field_cols"][keep][:, at])
     m = min(pt.shape[0] for pt in parts)
     rhs = sum(pt[:m] for pt in parts)
 
@@ -619,16 +628,16 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
         _check_analytic(markov, gauss, metadata)
     kernel = make_kernel(chain)
     zero = chain.zero_index
-    cols = plan.tp_cols
-    pos, y_pos, mu_vec = _on_readout(plan, u0f.keep)
+    keep = u0f.keep
+    pos, y_pos, mu_vec = _on_readout(plan, keep)
     profile_s = profile.restrict(u0f.keep)
 
     # standalone: life from 0 run to the inverse time, plus a plain square,
     # against the bumped square (both sides unweighted)
     tau_ep = _markov(plan, "second-rk", 1, kernel, ("fixed", zero),
-                     ("fixed", plan.t), stop="left")
+                     ("fixed", plan.t), stop="left", cols=keep)
     sq = _ensemble(plan, "second-rk", 2, _blk_gauss_square, utf)
-    lhs_sa = tau_ep["field"][:, cols] + sq["vals"][:, pos]
+    lhs_sa = tau_ep["field_cols"][:, pos] + sq["vals"][:, pos]
     rhs_sa = _ensemble(plan, "second-rk", 3, _blk_gauss_standalone_rhs,
                        utf, profile_s, plan.t)["vals"][:, pos]
     rows = compare_sides(
@@ -642,13 +651,13 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
 
     # combined: lives + killed life + inverse-time life + plain composite,
     # against the bumped composite under the tilt
-    markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack,
+    markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack, keep,
                                             harness="second-rk")
     tau_ep2 = _markov(plan, "second-rk", 4, kernel, ("fixed", zero),
-                      ("fixed", plan.t), stop="left")
+                      ("fixed", plan.t), stop="left", cols=keep)
     gl = _ensemble(plan, "second-rk", 60, _blk_gauss_second,
                    plan.r, plan.s, plan.t, profile_s, u0f, utf, y_pos, mu_vec)
-    lhs = markov_fields[:, cols] + tau_ep2["field"][:, cols] \
+    lhs = markov_fields[:, pos] + tau_ep2["field_cols"][:, pos] \
         + gl["g_hat"][:, pos]
     gr = _ensemble(plan, "second-rk", 61, _blk_gauss_second,
                    plan.r, plan.s, plan.t, profile_s, u0f, utf, y_pos, mu_vec)
@@ -681,25 +690,29 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     kernel = make_kernel(chain)
     mu_pack = mu_tables(chain, plan.mu)
     y = chain.state_index(plan.start)
-    cols = plan.tp_cols
+    zero = chain.zero_index
     r = plan.r
+    # records keep the test points and 0, whose local time the level and
+    # hit checks read
+    cols = np.union1d(plan.tp_cols, [zero])
+    at = np.searchsorted(cols, plan.tp_cols)
+    z = int(np.searchsorted(cols, zero))
 
     traces = _markov(plan, "second-rk-cond", 1, kernel, ("fixed", y),
                      ("exp", plan.p), stop="right", record="epochs",
-                     rebirth=mu_pack, r_max=r)
+                     rebirth=mu_pack, r_max=r, cols=cols)
     kept = traces["stop_epoch"] == r
     n_kept = int(np.count_nonzero(kept))
     if n_kept < MIN_CONDITIONED:
         raise ConditioningTooRare(
             f"only {n_kept} of {plan.replicates} traces crossed at epoch {r}"
         )
-    early = traces["fields"][kept][:, 0, :][:, cols]
-    last = traces["fields"][kept][:, r - 1, :][:, cols]
+    early = traces["fields_cols"][kept][:, 0, :][:, at]
+    last = traces["fields_cols"][kept][:, r - 1, :][:, at]
 
     # path identities on every conditioned trace (exact bookkeeping)
-    zero = chain.zero_index
     lam = traces["levels"][kept]
-    l0_final = traces["fields"][kept].sum(axis=1)[:, zero]
+    l0_final = traces["fields_cols"][kept].sum(axis=1)[:, z]
     id_viol = int(np.count_nonzero(
         np.abs(l0_final - lam) > 1e-12 * np.maximum(1.0, lam)
     ))
@@ -707,14 +720,14 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     tau_viol = int(np.count_nonzero(~(offs > 0.0)))
     # the stopping life crossed its level, so it held local time at 0
     hit_viol = int(np.count_nonzero(
-        ~(traces["fields"][kept, r - 1, zero] > 0.0)))
+        ~(traces["fields_cols"][kept, r - 1, z] > 0.0)))
 
     marginal = _markov(plan, "second-rk-cond", 2, kernel, ("mu",) + mu_pack,
-                       ("exp", plan.p), stop="left", clamp="total")
+                       ("exp", plan.p), stop="left", clamp="total", cols=cols)
     if plan.defect == "unconditioned-marginal":
-        ref = marginal["field"][:, cols]
+        ref = marginal["field_cols"][:, at]
     else:
-        ref = marginal["field"][marginal["stopped"]][:, cols]
+        ref = marginal["field_cols"][marginal["stopped"]][:, at]
 
     rows = compare_sides(
         side_estimates(last, plan.point_labels, plan.laplace_probes,
@@ -736,8 +749,8 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     for i in range(1, r + 1):
         spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
         ens = _markov(plan, "second-rk-cond", 10 + i, kernel, spec,
-                      ("exp", plan.p))
-        below = ens["field"][:, zero] < ens["levels"]
+                      ("exp", plan.p), cols=cols)
+        below = ens["field_cols"][:, z] < ens["levels"]
         frac = float(np.mean(~below)) if i == r else float(np.mean(below))
         fracs.append(frac)
         ns.append(below.shape[0])

@@ -330,6 +330,72 @@ def test_engine_absorb_property(case):
     assert np.all(chain.absorb_rate[out["state"][out["stopped"]]] > 0)
 
 
+# records of some states ------------------------------------------------------
+
+@st.composite
+def _cols_case(draw):
+    absorbing = draw(st.booleans())
+    chain, mu, start, r_max, seed = draw(_engine_case(absorbing=absorbing))
+    stop = draw(st.sampled_from(
+        ("death", "zero", "absorb", "horizon")
+        + (() if absorbing else ("left", "right"))))
+    record = draw(st.sampled_from(("total", "epochs")))
+    kw = {}
+    if record == "epochs" or draw(st.booleans()):
+        kw["rebirth"] = mu_tables(chain, mu)
+        # without r_max a reborn lane ends only at a level or the horizon
+        if record == "epochs" or stop in ("death", "zero", "absorb") \
+                or draw(st.booleans()):
+            kw["r_max"] = r_max
+            kw["track_min"] = draw(st.booleans())
+    if stop == "horizon":
+        kw["horizon"] = 1.5
+    if stop in ("left", "right") \
+            or (stop == "horizon" and draw(st.booleans())):
+        kw["levels"] = block_rng(seed, 0, 0).exponential(0.5, 64)
+    kw["clamp"] = draw(st.sampled_from(("strict", "total")))
+    # any distinct states in any order; 0 tracked or not, possibly none
+    cols = draw(st.lists(st.integers(0, chain.n_states - 1), unique=True,
+                         max_size=chain.n_states))
+    return chain, np.full(64, start, dtype=np.int64), seed, stop, record, \
+        kw, cols
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cols_case())
+def test_cols_record_equals_full_record_columns(case):
+    chain, starts, seed, stop, record, kw, cols = case
+    kernel = make_kernel(chain)
+    full = simulate(kernel, starts, block_rng(seed, 1, 0), stop=stop,
+                    record=record, **kw)
+    part = simulate(kernel, starts, block_rng(seed, 1, 0), stop=stop,
+                    record=record, cols=cols, **kw)
+    key = "field" if record == "total" else "fields"
+    assert key not in part and set(part) - {key + "_cols"} == set(full) - {key}
+    assert _bits(part[key + "_cols"]) == _bits(full[key][..., cols])
+    for name in set(full) - {key}:
+        assert _bits(part[name]) == _bits(full[name]), name
+
+
+@pytest.mark.parametrize("cols", [[0, 0], [3], [-1], [[0, 1]]],
+                         ids=["repeated", "past-the-end", "negative",
+                              "two-dimensional"])
+@pytest.mark.parametrize("record", ["total", "epochs", "discount"])
+def test_simulate_rejects_bad_cols(ref_chain, record, cols):
+    # a repeated state would leave one of its columns at 0
+    kw = dict(rebirth=(np.array([2]), np.array([1.0])), r_max=2)
+    if record == "discount":
+        kw.update(stop="horizon", horizon=1.0, p=1.0)
+    with pytest.raises(ValueError, match="cols must be distinct states"):
+        simulate(make_kernel(ref_chain), np.zeros(16, dtype=np.int64),
+                 block_rng(1, 1, 0), record=record, cols=cols, **kw)
+
+
 # argument checks --------------------------------------------------------------
 
 @pytest.mark.parametrize("kw", [
@@ -421,6 +487,18 @@ def _stream_shapes():
         ("horizon-clock", ref, mixed,
          dict(stop="horizon", record="discount", rebirth=rb, levels=clocks,
               horizon=np.log(20.0), p=1.0, cols=[0, 2])),
+        # records of some states: each digest of field_cols/fields_cols is
+        # that of the same columns of the record of every state, and the
+        # other outputs keep the digests of the shape without cols
+        ("death-total-cols", ref, mixed, dict(cols=[2, 0])),
+        ("zero-epochs-min-cols", grid, np.full(n, 8, dtype=np.int64),
+         dict(stop="zero", record="epochs", rebirth=rb_grid, r_max=2,
+              track_min=True, cols=[9, 1, 4])),
+        ("left-strict-cols", ref, zeros,
+         dict(stop="left", levels=levels, cols=[2])),
+        ("right-epochs-cols", ref, mixed,
+         dict(stop="right", record="epochs", levels=levels, rebirth=rb,
+              r_max=2, cols=[1, 0])),
     ]
 
 
@@ -554,6 +632,40 @@ _STREAM_DIGESTS = {
         "state": "61289c1013bb9487",
         "V": "b1411a516327f7fb",
         "rowsum": "88e99fb63a5336a2",
+    },
+    "death-total-cols": {
+        "t": "175b51e62b6d8c03",
+        "stopped": "f3c6635d8c166cdc",
+        "state": "9d2b0e50e556873f",
+        "field_cols": "4511c91d0ec9237c",
+    },
+    "zero-epochs-min-cols": {
+        "t": "8d6e96fd4c4f1699",
+        "stopped": "2d850ee94b15d877",
+        "state": "8882b905db71b857",
+        "fields_cols": "9bb3a6778705aba4",
+        "bounds": "80449ee1c47bccc7",
+        "epochs": "b5ba024debf7aaa6",
+        "stop_epoch": "4784a83bb2dd4b82",
+        "min_index": "3c4b86a5f116762c",
+    },
+    "left-strict-cols": {
+        "t": "72e475dbb1d2583c",
+        "stopped": "a78fd6c5bc951455",
+        "state": "ef7f28efdac44c7b",
+        "field_cols": "728dd318c124a4a2",
+        "l0": "95a26364d72a8b3e",
+    },
+    "right-epochs-cols": {
+        "t": "9463406eb334d3e7",
+        "stopped": "205121cced582df1",
+        "state": "45d4f1624a2ec316",
+        "fields_cols": "ea4babd31d5bfdba",
+        "bounds": "6c8792c89e46c7eb",
+        "epochs": "be0dd82d2e0110fc",
+        "stop_epoch": "7b8e4e06586172f7",
+        "l0": "2904e5b6364dd5fa",
+        "ties": "ba553f9413e2fef9",
     },
 }
 

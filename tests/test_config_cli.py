@@ -312,13 +312,17 @@ NO_MU = (r"^mu:.*\n", "")
      "moment_orders must be a nonempty list of 1 and 2"),
     # a sweep needs its scales
     ("lil", (r"^  scales: .*$", "  scales: []"), "sweeps need a scales list"),
+    # two copies of a test point would share one recorded column
+    ("normalization", (r"^  test_points: .*$", "  test_points: [-1, -1, 1]"),
+     "test_points must be distinct states"),
 ], ids=["defect-misspelt", "defect-undeclared", "defect-of-reduction",
         "defect-on-sweep", "defect-list", "first-rk-cond-no-mu",
         "second-rk-no-mu", "second-rk-cond-no-mu", "tminus-no-mu",
         "reduction-no-mu", "modulus-local-no-mu", "start-list",
         "start-mapping", "test-point-list", "centre-list",
         "interval-one-number", "interval-strings", "interval-inf",
-        "moment-orders-outside", "moment-orders-empty", "sweep-scales-empty"])
+        "moment-orders-outside", "moment-orders-empty", "sweep-scales-empty",
+        "test-points-repeated"])
 def test_bad_shipped_config_exits_2(tmp_path, capsys, name, edit, message):
     text, count = re.subn(edit[0], edit[1], _shipped(name), flags=re.M)
     assert count == 1
@@ -355,3 +359,18 @@ def test_self_test_expects_fail_from_defects(tmp_path, monkeypatch, capsys):
     assert cli.main(["self-test"]) == 1
     monkeypatch.setattr(cli, "CONFIGS", str(tmp_path / "missing"))
     assert cli.main(["self-test"]) == 2
+
+
+def test_dump_potentials_bad_p_exits_2(tmp_path, capsys):
+    # a sweep's plan never parses p, so dump-potentials checks it itself
+    text, count = re.subn(r"^  stop: zero$", "  stop: zero\n  p: abc",
+                          _shipped("lil"), flags=re.M)
+    assert count == 1
+    cfg_path = tmp_path / "lil.yaml"
+    cfg_path.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["dump-potentials", str(cfg_path), "--output",
+                     str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: plan.p: expected a finite number, got 'abc'"], err
+    assert not list(tmp_path.glob("*.csv"))

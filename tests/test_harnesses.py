@@ -10,7 +10,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rklab.chains import ChainSpec, RebirthMeasure, build_chain, path_chain
+import rklab.harnesses as harnesses
+from rklab.batch import make_kernel, mu_tables
+from rklab.chains import (
+    ChainSpec,
+    RebirthMeasure,
+    birth_death_chain,
+    build_chain,
+    path_chain,
+)
 from rklab.errors import ConditioningTooRare, DegenerateESS, InvariantError
 from rklab.harnesses import REGISTRY, TestPlan
 from rklab.stats import compare_fields
@@ -207,3 +215,28 @@ def test_workers_do_not_change_reports():
         a = REGISTRY[name](ref_plan(920, 1, replicates=10_000, **kw))
         b = REGISTRY[name](ref_plan(920, 2, replicates=10_000, **kw))
         assert a.to_json() == b.to_json()
+
+
+def test_first_rk_lives_record_only_the_readout(monkeypatch):
+    # on a 513-state grid each Markov life of first-rk keeps the 4 states
+    # the harness reads, never a column per state
+    chain = birth_death_chain(512, 128.0)
+    plan = TestPlan(chain=chain, mu=RebirthMeasure(weights={248: 1.0}),
+                    start=256, replicates=10_000, seed=5,
+                    test_points=(252, 256, 260), r=2)
+    keep = harnesses._readout(plan)
+    assert keep.tolist() == [248, 252, 256, 260]
+    widths = []
+    engine = harnesses.simulate
+
+    def spy(*args, **kw):
+        out = engine(*args, **kw)
+        assert "field" not in out
+        widths.append(out["field_cols"].shape[1])
+        return out
+
+    monkeypatch.setattr(harnesses, "simulate", spy)
+    fields = harnesses._first_rk_markov_fields(
+        plan, make_kernel(chain), mu_tables(chain, plan.mu), keep)
+    assert fields.shape == (10_000, keep.size)
+    assert widths == [keep.size] * 4  # two lives, two blocks each
