@@ -2,9 +2,11 @@
 
 Exit codes: 0 all verdicts pass, 1 statistical failure, 2 configuration or
 runtime error.  ``--seed``, ``--replicates`` and ``--workers`` override the
-config; the worker count never changes the numbers in a report.  The self
-test runs every shipped config (``configs/*.yaml``) with its own plan and
-expects a FAIL exactly from those that inject a ``plan.defect``.
+config where a command runs a harness; the worker count never changes the
+numbers in a report.  ``dump-potentials`` writes deterministic kernel tables
+and takes none of them.  The self test runs every shipped config
+(``configs/*.yaml``) with its own plan and expects a FAIL exactly from those
+that inject a ``plan.defect``.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_dump_potentials(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     outdir = args.output or "."
     if not os.path.isdir(outdir):
         raise RKLabError(f"output directory {outdir!r} does not exist")
@@ -207,8 +209,6 @@ def main(argv=None) -> int:
                             help="write the exact kernel tables as CSV")
     dump_p.add_argument("config")
     dump_p.add_argument("--output")
-    dump_p.add_argument("--seed", type=int)
-    dump_p.add_argument("--workers", type=int)
     dump_p.set_defaults(fn=cmd_dump_potentials)
 
     self_p = sub.add_parser("self-test",

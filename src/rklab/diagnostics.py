@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import (
-    block_plan,
-    block_rng,
-    make_kernel,
-    map_blocks,
-    mu_tables,
-    simulate,
-)
+from .batch import block_rng, make_kernel, mu_tables, simulate
 from .chains import potential_matrix
 from .errors import (
     ConditioningTooRare,
@@ -39,9 +32,9 @@ from .harnesses import (
     MIN_CONDITIONED,
     SweepConfig,
     TestPlan,
+    _ensemble,
     _markov,
     _starts,
-    tag_for,
 )
 from .stats import ComparisonReport, StatRow, compare_sides, side_estimates, zscore
 
@@ -317,8 +310,7 @@ def _blk_reduction_lhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
         mi = out["min_index"][kept][:, e]
         below = keep[None, :] < mi[:, None]
         viol += int(np.count_nonzero((fields[:, e, :] != 0.0) & below))
-    return {"sups": sups, "kept": int(np.count_nonzero(kept)),
-            "raw": size, "viol_851": viol}
+    return {"sups": sups, "viol_851": viol}
 
 
 def _blk_reduction_rhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
@@ -344,7 +336,7 @@ def _blk_reduction_rhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
     sups = np.stack([total[:, c].max(axis=1) for c in dpos], axis=1)
     single = np.stack([hit_fields[:m, :][:, c].max(axis=1) for c in dpos],
                       axis=1)
-    return {"sups": sups, "single": single, "paired": m}
+    return {"sups": sups, "single": single}
 
 
 def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
@@ -372,25 +364,16 @@ def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
     mu_pack = mu_tables(chain, plan.mu)
     y = chain.state_index(plan.start)
 
-    lhs_payloads, rhs_payloads = [], []
-    for b, size in enumerate(block_plan(plan.replicates)):
-        lhs_payloads.append((_blk_reduction_lhs,
-                             (kernel, mu_pack, y, plan.r, keep, dpos, size,
-                              plan.seed, tag_for("reduction", 1), b)))
-        rhs_payloads.append((_blk_reduction_rhs,
-                             (kernel, mu_pack, y, plan.r, keep, dpos, size,
-                              plan.seed, tag_for("reduction", 2), b)))
-    lhs_out = map_blocks(lhs_payloads, plan.workers)
-    rhs_out = map_blocks(rhs_payloads, plan.workers)
-    lhs_sups = np.concatenate([o["sups"] for o in lhs_out])
-    rhs_sups = np.concatenate([o["sups"] for o in rhs_out])
-    single_sups = np.concatenate([o["single"] for o in rhs_out])
+    args = (kernel, mu_pack, y, plan.r, keep, dpos)
+    lhs = _ensemble(plan, "reduction", 1, _blk_reduction_lhs, *args)
+    rhs = _ensemble(plan, "reduction", 2, _blk_reduction_rhs, *args)
+    lhs_sups, rhs_sups, single_sups = lhs["sups"], rhs["sups"], rhs["single"]
     n_kept = lhs_sups.shape[0]
     if n_kept < MIN_CONDITIONED or rhs_sups.shape[0] < MIN_CONDITIONED:
         raise ConditioningTooRare(
             f"conditioned counts {n_kept}/{rhs_sups.shape[0]} below floor"
         )
-    viol = sum(o["viol_851"] for o in lhs_out)
+    viol = lhs["viol_851"]
 
     if plan.defect == "single-life":
         rhs_sups = single_sups  # deliberately drops the early lives

@@ -7,15 +7,14 @@ So a covariance coming out of :mod:`rklab.chains` is checked for positive
 semi-definiteness on the whole table, then factored on the block C[S, S]
 only (pivoted Cholesky, so rank-deficient kernels like the killed-at-zero
 one keep an exact zero at state 0), and fields are drawn |S| wide.  With S
-every state, the default, this is the full field.  The composite samplers
-build the Gaussian side of the hitting-time and inverse-local-time
-identities on whatever columns the factor carries:
+every state, the default, this is the full field.  The composite sampler
+builds the Gaussian side of the Eisenbaum, hitting-time and
+inverse-local-time identities on whatever columns the factor carries:
 
-* sum of squared shifted fields, with a signed tilt weight
+* a sum of squared shifted fields, one per life, with a signed tilt weight
   (1 + eta_1(y)/s) * prod (1 + eta_i(mu)/s) of mean one, and
-* the pair of second-kind composites sharing constituents, where the last
-  square is taken either plain or shifted by h * sqrt(2 (t ^ rho)) with rho
-  exponential of mean u0(0,0).
+* an optional last unshifted square, taken either plain or shifted by
+  h * sqrt(2 (t ^ rho)) with rho exponential of mean u0(0,0).
 
 Weights are kept signed; nothing is truncated.
 """
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import HittingProfile, PotentialMatrix
+from .chains import PotentialMatrix
 from .errors import NotPSD, ZeroShift
 
 RECONSTRUCT_ATOL = 1e-8
@@ -112,82 +111,34 @@ def sample_block(factor: FieldFactor, size: int, rng) -> np.ndarray:
     return z @ factor.root.T
 
 
-def first_rk_composite_block(
-    r: int,
-    s: float,
-    u0_factor: FieldFactor,
-    utilde_factor: FieldFactor,
-    y_index: int,
-    mu_vec: np.ndarray,
-    size: int,
-    rng,
-):
-    """Vectorised first-kind composites.
+def composite_block(s: float, lives, size: int, rng, tail=None):
+    """Vectorised composites on the factors' states, with their tilt.
 
-    Returns (fields, weights) where fields[k] is
-    sum_{i<r} (eta_i + s)^2/2 + (eta~ + s)^2/2 on the factors' states and
-    weights[k] the signed tilt.  For r = 1 the single tilt factor is taken at
-    the start state y, matching the one-epoch identity; for r >= 2 the factor
-    on eta~ integrates against mu.  ``y_index`` and ``mu_vec`` refer to the
-    factors' states, which must include y and the support of mu.
+    Returns (fields, weights).  ``lives`` lists (factor, tilt) pairs in draw
+    order; each adds (eta + s)^2/2 to the field and multiplies the weight by
+    1 + eta(tilt)/s, where ``tilt`` is a position among the factor's states
+    (the start state) or a vector on them (mu).  ``tail`` = (factor, bump)
+    then adds one unshifted square: eta2^2/2 when ``bump`` is None, and
+    (eta2 + h sqrt(2 (t ^ rho)))^2/2 for ``bump`` = (profile, t), with rho
+    exponential of mean u0(0,0) drawn after eta2, so at t = 0 the two tails
+    agree sample by sample.  ``profile.h`` refers to the factors' states.
     """
-    if r < 1:
-        raise ValueError("epoch count r must be >= 1")
     if s == 0:
         raise ZeroShift("composite fields need a nonzero shift")
-    field = np.zeros((size, u0_factor.dim))
+    field = np.zeros((size, (lives[0] if lives else tail)[0].dim))
     weight = np.ones(size)
-    for i in range(r - 1):
-        eta = sample_block(u0_factor, size, rng)
+    for factor, tilt in lives:
+        eta = sample_block(factor, size, rng)
         field += 0.5 * (eta + s) ** 2
-        tilt = eta[:, y_index] if i == 0 else eta @ mu_vec
-        weight *= 1.0 + tilt / s
-    eta_t = sample_block(utilde_factor, size, rng)
-    field += 0.5 * (eta_t + s) ** 2
-    tilt = eta_t[:, y_index] if r == 1 else eta_t @ mu_vec
-    weight *= 1.0 + tilt / s
+        weight *= 1.0 + (eta[:, tilt] if np.ndim(tilt) == 0
+                         else eta @ tilt) / s
+    if tail is not None:
+        factor, bump = tail
+        eta2 = sample_block(factor, size, rng)
+        if bump is not None:
+            profile, t = bump
+            rho = rng.exponential(scale=profile.u00, size=size)
+            eta2 += profile.h[None, :] \
+                * np.sqrt(2.0 * np.minimum(t, rho))[:, None]
+        field += 0.5 * eta2 ** 2
     return field, weight
-
-
-def second_rk_composites_block(
-    r: int,
-    s: float,
-    t: float,
-    profile: HittingProfile,
-    u0_factor: FieldFactor,
-    ut0_factor: FieldFactor,
-    y_index: int,
-    mu_vec: np.ndarray,
-    size: int,
-    rng,
-):
-    """Vectorised second-kind composite pair sharing constituents.
-
-    Returns (g_hat, g_bar, weights, rho).  g_hat ends in a plain
-    squared field; g_bar replaces that square by
-    (eta2 + h sqrt(2 (t ^ rho)))^2 / 2 with the same eta2 draw, so at t = 0
-    the two composites agree sample by sample.  ``profile.h``, ``y_index``
-    and ``mu_vec`` refer to the factors' states, as in
-    :func:`first_rk_composite_block`.
-    """
-    if r < 1:
-        raise ValueError("epoch count r must be >= 1")
-    if s == 0:
-        raise ZeroShift("composite fields need a nonzero shift")
-    base = np.zeros((size, u0_factor.dim))
-    weight = np.ones(size)
-    for i in range(r - 1):
-        eta = sample_block(u0_factor, size, rng)
-        base += 0.5 * (eta + s) ** 2
-        tilt = eta[:, y_index] if i == 0 else eta @ mu_vec
-        weight *= 1.0 + tilt / s
-    eta1 = sample_block(ut0_factor, size, rng)
-    base += 0.5 * (eta1 + s) ** 2
-    tilt = eta1[:, y_index] if r == 1 else eta1 @ mu_vec
-    weight *= 1.0 + tilt / s
-    eta2 = sample_block(ut0_factor, size, rng)
-    rho = rng.exponential(scale=profile.u00, size=size)
-    g_hat = base + 0.5 * eta2 ** 2
-    bump = profile.h[None, :] * np.sqrt(2.0 * np.minimum(t, rho))[:, None]
-    g_bar = base + 0.5 * (eta2 + bump) ** 2
-    return g_hat, g_bar, weight, rho

@@ -3,9 +3,14 @@
 Each harness realises one identity in law as a two-sample (or
 sample-vs-exact) comparison of first and second moments and Laplace probes
 at the test points, with verdicts at ``z_max`` pooled standard errors.
-Before any simulation runs, the first-moment identity behind the harness is
-evaluated analytically on both sides from the exact kernels and must agree
-to 1e-12; a failure there means mis-wired ensembles, not bad luck.
+
+The Eisenbaum identity and the first and second Ray-Knight identities share
+one shape, Markov lives plus an untilted squared shifted field against the
+tilted squared field, and one runner, :func:`_tilted`, that takes each as
+data.  Their gated ``exact:mean`` rows put the lives' first moment, from the
+kernel tables, against the tilt's share of the tilted side, from the
+sampling roots; the two agree to roundoff, so a gap there means a mis-wired
+life, factor or restriction, not bad luck.
 
 :data:`REGISTRY` is the one table of harnesses: every harness id of a config
 maps to its run function, which declares the number that fixes its random
@@ -38,12 +43,7 @@ from .chains import (
     rebirthed_potential,
 )
 from .errors import ConditioningTooRare, InvariantError
-from .gaussfield import (
-    factor_covariance,
-    first_rk_composite_block,
-    sample_block,
-    second_rk_composites_block,
-)
+from .gaussfield import composite_block, factor_covariance
 from .stats import (
     ComparisonReport,
     StatRow,
@@ -51,13 +51,13 @@ from .stats import (
     compare_sides,
     covariance_zero_rows,
     default_probes,
+    gated_z,
     product_fraction_row,
     rows_vs_exact,
     side_estimates,
     zscore,
 )
 
-ANALYTIC_ATOL = 1e-12
 MIN_CONDITIONED = 1000
 
 
@@ -187,51 +187,21 @@ def _blk_markov(kernel, start_spec, level_spec, engine, size, seed, tag, b):
     return out
 
 
-def _blk_gauss_shift_sq(factor, s, y_idx, size, seed, tag, b):
+def _blk_gauss(s, lives, tail, size, seed, tag, b):
     rng = block_rng(seed, tag, b)
-    eta = sample_block(factor, size, rng)
-    return {"vals": 0.5 * (eta + s) ** 2, "tilt": 1.0 + eta[:, y_idx] / s}
+    field, weight = composite_block(s, lives, size, rng, tail)
+    return {"field": field, "weight": weight}
 
 
-def _blk_gauss_square(factor, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    eta = sample_block(factor, size, rng)
-    return {"vals": 0.5 * eta ** 2}
-
-
-def _blk_gauss_first(r, s, u0f, utf, y_idx, mu_vec, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    fields, weights = first_rk_composite_block(
-        r, s, u0f, utf, y_idx, mu_vec, size, rng
-    )
-    return {"field": fields, "weight": weights}
-
-
-def _blk_gauss_second(r, s, t, profile, u0f, utf, y_idx, mu_vec, size, seed,
-                      tag, b):
-    rng = block_rng(seed, tag, b)
-    g_hat, g_bar, weights, rho = second_rk_composites_block(
-        r, s, t, profile, u0f, utf, y_idx, mu_vec, size, rng
-    )
-    return {"g_hat": g_hat, "g_bar": g_bar, "weight": weights, "rho": rho}
-
-
-def _blk_gauss_standalone_rhs(utf, profile, t, size, seed, tag, b):
-    rng = block_rng(seed, tag, b)
-    eta2 = sample_block(utf, size, rng)
-    rho = rng.exponential(scale=profile.u00, size=size)
-    bump = profile.h[None, :] * np.sqrt(2.0 * np.minimum(t, rho))[:, None]
-    return {"vals": 0.5 * (eta2 + bump) ** 2}
-
-
-def _collect(plan, fn, static_args, role):
-    """Run one ensemble of plan.replicates lanes, block by block."""
-    tag = static_args[0]
-    payloads = []
-    for b, size in enumerate(block_plan(plan.replicates)):
-        fn_args = static_args[1] + (size, plan.seed, tag, b)
-        payloads.append((fn, fn_args))
-    results = map_blocks(payloads, plan.workers)
+def _ensemble(plan, harness, role, fn, *args):
+    """Run one ensemble of plan.replicates lanes block by block through
+    ``fn(*args, size, seed, tag, b)``; counts add up over the blocks and
+    arrays are concatenated."""
+    tag = tag_for(harness, role)
+    results = map_blocks(
+        [(fn, args + (size, plan.seed, tag, b))
+         for b, size in enumerate(block_plan(plan.replicates))],
+        plan.workers)
     merged = {}
     for key in results[0]:
         if np.isscalar(results[0][key]):
@@ -239,10 +209,6 @@ def _collect(plan, fn, static_args, role):
         else:
             merged[key] = np.concatenate([r[key] for r in results])
     return merged
-
-
-def _ensemble(plan, harness, role, fn, *args):
-    return _collect(plan, fn, (tag_for(harness, role), tuple(args)), role)
 
 
 def _markov(plan, harness, role, kernel, start_spec, level_spec=None,
@@ -274,13 +240,12 @@ def _readout(plan):
 
 
 def _on_readout(plan, keep):
-    """Test-point positions and the start position within the readout set
-    ``keep``, and mu restricted to it."""
-    pos = np.searchsorted(keep, plan.tp_cols)
+    """The start position within the readout set ``keep``, and mu restricted
+    to it."""
     y_pos = int(np.searchsorted(keep, plan.chain.state_index(plan.start)))
     mu_vec = _mu_vec(plan)[keep] if plan.mu is not None \
         else np.zeros(keep.size)
-    return pos, y_pos, mu_vec
+    return y_pos, mu_vec
 
 
 def _factors(plan):
@@ -294,55 +259,96 @@ def _factors(plan):
     return u0, ut, u0f, utf
 
 
-def _first_rk_analytic(plan, u0, ut):
-    """First-moment formulas of both sides; must agree to ANALYTIC_ATOL."""
+def _leg_mean(plan, green, leg):
+    """Exact mean field of one Markov leg at the test points, from the
+    kernel tables ``green`` = (u0, u~0)."""
+    _, start, level, stop = leg
+    u0, ut = green
     cols = plan.tp_cols
+    if stop == "left":  # from 0 to the left inverse local time at level t
+        z = plan.chain.zero_index
+        return u0[z, cols] ** 2 / u0[z, z] * -np.expm1(-level[1] / u0[z, z])
+    table = ut if stop == "zero" else u0
+    if start[0] == "fixed":
+        return table[start[1], cols]
+    return (_mu_vec(plan) @ table)[cols]
+
+
+def _tilt_share(lives, tail, pos):
+    """What the tilt and the bump add to the mean of the tilted composite at
+    the positions ``pos``, from the sampling roots: sum over lives of
+    C[pos, tilt] (or C[pos] @ mu), plus h^2 E[t ^ rho] for a bumped tail."""
+    share = 0.0
+    for factor, tilt in lives:
+        cov = factor.root @ factor.root.T
+        share = share + (cov[:, tilt] if np.ndim(tilt) == 0
+                         else cov @ tilt)[pos]
+    if tail is not None and tail[1] is not None:
+        profile, t = tail[1]
+        share = share + profile.h[pos] ** 2 * profile.u00 \
+            * -np.expm1(-t / profile.u00)
+    return share
+
+
+def _tilted(plan, harness, green, legs, lives, tail, roles, weighted=True):
+    """One tilted identity, given as data.
+
+    Left side: the Markov ``legs``, each (role, start spec, level spec,
+    stop), summed in order, plus the composite of ``lives`` (see
+    :func:`composite_block`) with ``tail`` = (factor, bump) drawn plain.
+    Right side: the same composite with the tail bumped, under its tilt
+    when ``weighted``.  ``roles`` number the two composite streams.  The
+    ``exact:mean`` rows compare the legs' mean from ``green`` = (u0, u~0)
+    with the tilt's share from the sampling roots (se 0).
+    """
+    keep = (lives[0] if lives else tail)[0].keep
+    pos = np.searchsorted(keep, plan.tp_cols)
+    kernel = make_kernel(plan.chain)
+    lhs = 0.0
+    for role, start, level, stop in legs:
+        out = _markov(plan, harness, role, kernel, start, level, stop=stop,
+                      cols=keep)
+        lhs = lhs + out["field_cols"][:, pos]
+    plain = None if tail is None else (tail[0], None)
+    lhs = lhs + _ensemble(plan, harness, roles[0], _blk_gauss, plan.s, lives,
+                          plain)["field"][:, pos]
+    right = _ensemble(plan, harness, roles[1], _blk_gauss, plan.s, lives,
+                      tail)
+    rhs = right["field"][:, pos]
+    weights = None
+    if weighted:
+        weights = np.ones(rhs.shape[0]) if plan.defect == "unit-weights" \
+            else right["weight"]
+    report = compare_fields(
+        harness, lhs, rhs, plan.point_labels, plan.laplace_probes,
+        plan.seed, rhs_weights=weights, z_max=plan.z_max,
+        moment_orders=plan.moment_orders, metadata={"defect": plan.defect},
+    )
+    exact = sum(_leg_mean(plan, green, leg) for leg in legs)
+    share = _tilt_share(lives, tail, pos)
+    report.rows += [
+        StatRow(f"exact:mean[{x}]", float(a), float(b), 0.0,
+                gated_z(float(a), float(b), 0.0))
+        for x, a, b in zip(plan.point_labels, exact, share)
+    ]
+    return report
+
+
+def _first_rk_spec(plan, u0f, utf):
+    """Legs and lives of the hitting-time identity with r lives: a full life
+    from y, r - 2 full lives from mu and a life from mu stopped at 0 (for
+    r = 1, one life from y stopped at 0), tilted at y and then at mu."""
     y = plan.chain.state_index(plan.start)
-    s, r = plan.s, plan.r
-    base = (r - 1) * 0.5 * (np.diag(u0.table)[cols] + s**2) \
-        + 0.5 * (np.diag(ut.table)[cols] + s**2)
-    if r == 1:
-        markov = ut.table[y, cols]
-        tilt = ut.table[y, cols]
-    else:
-        mu_vec = _mu_vec(plan)
-        markov = u0.table[y, cols] + (r - 2) * (u0.table @ mu_vec)[cols] \
-            + (ut.table @ mu_vec)[cols]
-        tilt = u0.table[y, cols] + (r - 2) * (u0.table @ mu_vec)[cols] \
-            + (ut.table @ mu_vec)[cols]
-    return markov + base, base + tilt
-
-
-def _second_rk_analytic(plan, u0, ut, profile):
-    cols = plan.tp_cols
-    y = plan.chain.state_index(plan.start)
-    s, r, t = plan.s, plan.r, plan.t
-    h2 = profile.h[cols] ** 2
-    clamp_mean = profile.u00 * -np.expm1(-t / profile.u00)  # E[t ^ rho]
-    base = (r - 1) * 0.5 * (np.diag(u0.table)[cols] + s**2) \
-        + 0.5 * (np.diag(ut.table)[cols] + s**2) \
-        + 0.5 * np.diag(ut.table)[cols]
-    if r == 1:
-        killed = ut.table[y, cols]
-        tilt = ut.table[y, cols]
-    else:
-        mu_vec = _mu_vec(plan)
-        killed = u0.table[y, cols] + (r - 2) * (u0.table @ mu_vec)[cols] \
-            + (ut.table @ mu_vec)[cols]
-        tilt = u0.table[y, cols] + (r - 2) * (u0.table @ mu_vec)[cols] \
-            + (ut.table @ mu_vec)[cols]
-    markov = killed + h2 * clamp_mean + base
-    gauss = base + tilt + h2 * clamp_mean
-    return markov, gauss
-
-
-def _check_analytic(markov, gauss, metadata):
-    gap = float(np.abs(markov - gauss).max())
-    metadata["analytic_first_moment_gap"] = gap
-    if gap > ANALYTIC_ATOL:
-        raise InvariantError(
-            f"analytic first-moment identity violated by {gap:.3e}"
-        )
+    y_pos, mu_vec = _on_readout(plan, u0f.keep)
+    if plan.r == 1:
+        return [(40, ("fixed", y), None, "zero")], [(utf, y_pos)]
+    mu = ("mu",) + mu_tables(plan.chain, plan.mu)
+    legs = [(20, ("fixed", y), None, "death")] \
+        + [(20 + i, mu, None, "death") for i in range(2, plan.r)] \
+        + [(40, mu, None, "zero")]
+    lives = [(u0f, y_pos)] + [(u0f, mu_vec)] * (plan.r - 2) \
+        + [(utf, mu_vec)]
+    return legs, lives
 
 
 # harnesses ------------------------------------------------------------------
@@ -403,59 +409,17 @@ def run_normalization(plan: TestPlan) -> ComparisonReport:
 
 
 def run_eisenbaum(plan: TestPlan) -> ComparisonReport:
-    """One killed life plus an independent shifted square against the tilted
+    """One full life plus an independent shifted square against the tilted
     shifted square."""
     if plan.s == 0:
         raise InvariantError("eisenbaum harness needs s != 0")
-    chain = plan.chain
-    u0 = potential_matrix(chain, 0.0)
+    u0 = potential_matrix(plan.chain, 0.0)
     u0f = factor_covariance(u0, keep=_readout(plan))
-    pos, y_pos, _ = _on_readout(plan, u0f.keep)
-    y = chain.state_index(plan.start)
-    cols = plan.tp_cols
-    metadata = {"defect": plan.defect}
-    markov = u0.table[y, cols] + 0.5 * (np.diag(u0.table)[cols] + plan.s**2)
-    gauss = 0.5 * (np.diag(u0.table)[cols] + plan.s**2) + u0.table[y, cols]
-    _check_analytic(markov, gauss, metadata)
-
-    kernel = make_kernel(chain)
-    eps = _markov(plan, "eisenbaum", 1, kernel, ("fixed", y), cols=cols)
-    gl = _ensemble(plan, "eisenbaum", 2, _blk_gauss_shift_sq, u0f, plan.s,
-                   y_pos)
-    lhs = eps["field_cols"][:, np.arange(cols.size)] + gl["vals"][:, pos]
-    gr = _ensemble(plan, "eisenbaum", 3, _blk_gauss_shift_sq, u0f, plan.s,
-                   y_pos)
-    rhs = gr["vals"][:, pos]
-    weights = np.ones(rhs.shape[0]) if plan.defect == "unit-weights" \
-        else gr["tilt"]
-    return compare_fields(
-        "eisenbaum", lhs, rhs, plan.point_labels, plan.laplace_probes,
-        plan.seed, rhs_weights=weights, z_max=plan.z_max,
-        moment_orders=plan.moment_orders, metadata=metadata,
-    )
-
-
-def _first_rk_markov_fields(plan, kernel, mu_pack, keep,
-                            harness="first-rk"):
-    """Sum of the lives on the Markov side of the hitting-time identity, on
-    the readout set ``keep``."""
-    chain = plan.chain
-    y = chain.state_index(plan.start)
-    total = None
-    if plan.r >= 2:
-        ep = _markov(plan, harness, 20, kernel, ("fixed", y), cols=keep)
-        total = ep["field_cols"]
-        for i in range(2, plan.r):
-            ep = _markov(plan, harness, 20 + i, kernel, ("mu",) + mu_pack,
-                         cols=keep)
-            total = total + ep["field_cols"]
-        killed = _markov(plan, harness, 40, kernel, ("mu",) + mu_pack,
-                         stop="zero", cols=keep)
-    else:
-        killed = _markov(plan, harness, 40, kernel, ("fixed", y),
-                         stop="zero", cols=keep)
-    field = killed["field_cols"]
-    return field if total is None else total + field
+    y = plan.chain.state_index(plan.start)
+    y_pos, _ = _on_readout(plan, u0f.keep)
+    return _tilted(plan, "eisenbaum", (u0.table, None),
+                   [(1, ("fixed", y), None, "death")], [(u0f, y_pos)], None,
+                   (2, 3))
 
 
 def run_first_rk(plan: TestPlan) -> ComparisonReport:
@@ -463,30 +427,12 @@ def run_first_rk(plan: TestPlan) -> ComparisonReport:
     unweighted, against tilted composites."""
     if plan.r < 1:
         raise InvariantError("first-rk needs r >= 1")
-    chain = plan.chain
-    mu_pack = mu_tables(chain, plan.mu) if plan.r >= 2 else None
     u0, ut, u0f, utf = _factors(plan)
-    metadata = {"defect": plan.defect, "r": plan.r, "s": plan.s}
-    if plan.defect != "wrong-cov":
-        markov, gauss = _first_rk_analytic(plan, u0, ut)
-        _check_analytic(markov, gauss, metadata)
-    kernel = make_kernel(chain)
-    pos, y_pos, mu_vec = _on_readout(plan, u0f.keep)
-
-    markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack, u0f.keep)
-    gl = _ensemble(plan, "first-rk", 60, _blk_gauss_first,
-                   plan.r, plan.s, u0f, utf, y_pos, mu_vec)
-    lhs = markov_fields[:, pos] + gl["field"][:, pos]
-    gr = _ensemble(plan, "first-rk", 61, _blk_gauss_first,
-                   plan.r, plan.s, u0f, utf, y_pos, mu_vec)
-    rhs = gr["field"][:, pos]
-    weights = np.ones(rhs.shape[0]) if plan.defect == "unit-weights" \
-        else gr["weight"]
-    return compare_fields(
-        "first-rk", lhs, rhs, plan.point_labels, plan.laplace_probes,
-        plan.seed, rhs_weights=weights, z_max=plan.z_max,
-        moment_orders=plan.moment_orders, metadata=metadata,
-    )
+    legs, lives = _first_rk_spec(plan, u0f, utf)
+    report = _tilted(plan, "first-rk", (u0.table, ut.table), legs, lives,
+                     None, (60, 61))
+    report.metadata.update(r=plan.r, s=plan.s)
+    return report
 
 
 def run_first_rk_cond(plan: TestPlan) -> ComparisonReport:
@@ -618,64 +564,28 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
         raise InvariantError("second-rk needs r >= 1")
     if plan.t <= 0:
         raise InvariantError("second-rk needs t > 0")
-    chain = plan.chain
-    mu_pack = mu_tables(chain, plan.mu) if plan.r >= 2 else None
     u0, ut, u0f, utf = _factors(plan)
-    profile = hitting_profile(u0)
-    metadata = {"defect": plan.defect, "r": plan.r, "s": plan.s, "t": plan.t}
-    if plan.defect != "wrong-cov":
-        markov, gauss = _second_rk_analytic(plan, u0, ut, profile)
-        _check_analytic(markov, gauss, metadata)
-    kernel = make_kernel(chain)
-    zero = chain.zero_index
-    keep = u0f.keep
-    pos, y_pos, mu_vec = _on_readout(plan, keep)
-    profile_s = profile.restrict(u0f.keep)
-
+    green = (u0.table, ut.table)
+    tail = (utf, (hitting_profile(u0).restrict(u0f.keep), plan.t))
+    to_level = (("fixed", plan.chain.zero_index), ("fixed", plan.t), "left")
     # standalone: life from 0 run to the inverse time, plus a plain square,
     # against the bumped square (both sides unweighted)
-    tau_ep = _markov(plan, "second-rk", 1, kernel, ("fixed", zero),
-                     ("fixed", plan.t), stop="left", cols=keep)
-    sq = _ensemble(plan, "second-rk", 2, _blk_gauss_square, utf)
-    lhs_sa = tau_ep["field_cols"][:, pos] + sq["vals"][:, pos]
-    rhs_sa = _ensemble(plan, "second-rk", 3, _blk_gauss_standalone_rhs,
-                       utf, profile_s, plan.t)["vals"][:, pos]
-    rows = compare_sides(
-        side_estimates(lhs_sa, plan.point_labels, plan.laplace_probes,
-                       moment_orders=plan.moment_orders),
-        side_estimates(rhs_sa, plan.point_labels, plan.laplace_probes,
-                       moment_orders=plan.moment_orders),
-    )
-    rows = [StatRow(f"standalone:{r_.statistic}", r_.lhs, r_.rhs, r_.se, r_.z)
-            for r_ in rows]
-
+    standalone = _tilted(plan, "second-rk", green, [(1,) + to_level], [],
+                         tail, (2, 3), weighted=False)
     # combined: lives + killed life + inverse-time life + plain composite,
     # against the bumped composite under the tilt
-    markov_fields = _first_rk_markov_fields(plan, kernel, mu_pack, keep,
-                                            harness="second-rk")
-    tau_ep2 = _markov(plan, "second-rk", 4, kernel, ("fixed", zero),
-                      ("fixed", plan.t), stop="left", cols=keep)
-    gl = _ensemble(plan, "second-rk", 60, _blk_gauss_second,
-                   plan.r, plan.s, plan.t, profile_s, u0f, utf, y_pos, mu_vec)
-    lhs = markov_fields[:, pos] + tau_ep2["field_cols"][:, pos] \
-        + gl["g_hat"][:, pos]
-    gr = _ensemble(plan, "second-rk", 61, _blk_gauss_second,
-                   plan.r, plan.s, plan.t, profile_s, u0f, utf, y_pos, mu_vec)
-    rhs = gr["g_bar"][:, pos]
-    weights = np.ones(rhs.shape[0]) if plan.defect == "unit-weights" \
-        else gr["weight"]
-    combined = compare_fields(
-        "second-rk", lhs, rhs, plan.point_labels, plan.laplace_probes,
-        plan.seed, rhs_weights=weights, z_max=plan.z_max,
-        moment_orders=plan.moment_orders, metadata=metadata,
-    )
-    combined.rows = rows + [
-        StatRow(f"combined:{r_.statistic}", r_.lhs, r_.rhs, r_.se, r_.z,
-                r_.gating)
-        for r_ in combined.rows
+    legs, lives = _first_rk_spec(plan, u0f, utf)
+    report = _tilted(plan, "second-rk", green, legs + [(4,) + to_level],
+                     lives, tail, (60, 61))
+    report.rows = [
+        StatRow(f"{part}:{row.statistic}", row.lhs, row.rhs, row.se, row.z,
+                row.gating)
+        for part, rows in [("standalone", standalone.rows),
+                           ("combined", report.rows)]
+        for row in rows
     ]
-    combined.n_lhs = lhs.shape[0]
-    return combined
+    report.metadata.update(r=plan.r, s=plan.s, t=plan.t)
+    return report
 
 
 def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:

@@ -29,7 +29,7 @@ from rklab.diagnostics import (
     reduction_identity_test,
     uniform_modulus_sweep,
 )
-from rklab.gaussfield import factor_covariance, second_rk_composites_block
+from rklab.gaussfield import composite_block, factor_covariance
 from rklab.harnesses import REGISTRY, TestPlan
 from rklab.reporting import write_sweep_csv
 from plans import absorbed_path_chain, reduction_chain, ref_plan
@@ -175,12 +175,12 @@ def test_criterion_05_second_rk(ref_chain, mu_plus):
             worst = max(worst, rep.max_abs_z())
     # t = 0 degeneracy is sample-exact with shared constituents
     u0 = potential_matrix(ref_chain, 0.0)
-    ut = killed_at_zero_potential(u0)
-    g_hat, g_bar, _, _ = second_rk_composites_block(
-        2, 1.0, 0.0, hitting_profile(u0), factor_covariance(u0),
-        factor_covariance(ut), 0, mu_plus.vector(ref_chain), 50_000,
-        block_rng(SEED, 5000, 0),
-    )
+    ut = factor_covariance(killed_at_zero_potential(u0))
+    lives = [(factor_covariance(u0), 0), (ut, mu_plus.vector(ref_chain))]
+    g_hat, _ = composite_block(1.0, lives, 50_000, block_rng(SEED, 5000, 0),
+                               (ut, None))
+    g_bar, _ = composite_block(1.0, lives, 50_000, block_rng(SEED, 5000, 0),
+                               (ut, (hitting_profile(u0), 0.0)))
     degenerate = np.array_equal(g_hat, g_bar)
     ok &= degenerate
     _verdict_line(5, ok,

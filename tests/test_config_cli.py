@@ -361,6 +361,17 @@ def test_self_test_expects_fail_from_defects(tmp_path, monkeypatch, capsys):
     assert cli.main(["self-test"]) == 2
 
 
+def test_dump_potentials_takes_no_seed(tmp_path):
+    # kernel tables are deterministic: seed and workers are not options
+    cfg_path = tmp_path / "e.yaml"
+    cfg_path.write_text(SMALL_EISENBAUM)
+    for flag in ("--seed", "--workers"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dump-potentials", str(cfg_path), flag, "1"])
+        assert exc.value.code == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_dump_potentials_bad_p_exits_2(tmp_path, capsys):
     # a sweep's plan never parses p, so dump-potentials checks it itself
     text, count = re.subn(r"^  stop: zero$", "  stop: zero\n  p: abc",

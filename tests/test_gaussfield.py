@@ -18,10 +18,9 @@ from rklab.errors import NotPSD, ZeroShift
 from rklab.gaussfield import (
     PIVOT_RTOL,
     _pivoted_cholesky,
+    composite_block,
     factor_covariance,
-    first_rk_composite_block,
     sample_block,
-    second_rk_composites_block,
 )
 from rklab.harnesses import REGISTRY, TestPlan, _readout
 from strategies import path_chains
@@ -89,53 +88,69 @@ def test_shift_mean(ref_chain, rng):
     assert np.all(np.abs(vals.mean(axis=0) - 0.8) < 4 * se)
 
 
-def test_first_composite(ref_chain, rng):
-    u0 = potential_matrix(ref_chain, 0.0)
+def _rk_lives(chain, r):
+    """Factors on every state and the lives of the r-life composite."""
+    u0 = potential_matrix(chain, 0.0)
     ut = killed_at_zero_potential(u0)
     u0f, utf = factor_covariance(u0), factor_covariance(ut)
-    mu_vec = RebirthMeasure(weights={1: 1.0}).vector(ref_chain)
-    y = ref_chain.state_index(-1)
+    mu_vec = RebirthMeasure(weights={1: 1.0}).vector(chain)
+    y = chain.state_index(-1)
+    if r == 1:
+        return u0, utf, [(utf, y)]
+    return u0, utf, [(u0f, y)] + [(u0f, mu_vec)] * (r - 2) + [(utf, mu_vec)]
+
+
+def test_first_composite(ref_chain, rng):
     z = ref_chain.zero_index
+    _, _, lives = _rk_lives(ref_chain, 2)
     with pytest.raises(ZeroShift):
-        first_rk_composite_block(2, 0.0, u0f, utf, y, mu_vec, 4, rng)
+        composite_block(0.0, lives, 4, rng)
 
     # r = 1: single shifted square of the killed-at-zero field
-    fields, weights = first_rk_composite_block(1, 1.0, u0f, utf, y, mu_vec,
-                                                  20_000, rng)
+    fields, weights = composite_block(1.0, _rk_lives(ref_chain, 1)[2],
+                                      20_000, rng)
     assert np.all(fields[:, z] == 0.5)  # (0 + s)^2 / 2 with s = 1
     se = weights.std() / np.sqrt(weights.size)
     assert abs(weights.mean() - 1.0) < 4 * se
 
-    fields3, weights3 = first_rk_composite_block(3, 1.0, u0f, utf, y,
-                                                    mu_vec, 20_000, rng)
+    fields3, weights3 = composite_block(1.0, _rk_lives(ref_chain, 3)[2],
+                                        20_000, rng)
     se = weights3.std() / np.sqrt(weights3.size)
     assert abs(weights3.mean() - 1.0) < 4 * se
     assert np.all(fields3 >= 0.0)
 
 
-def test_second_composites_degenerate_and_closed_form(ref_chain, rng):
-    u0 = potential_matrix(ref_chain, 0.0)
-    ut = killed_at_zero_potential(u0)
-    profile = hitting_profile(u0)
-    u0f, utf = factor_covariance(u0), factor_covariance(ut)
-    mu_vec = RebirthMeasure(weights={1: 1.0}).vector(ref_chain)
-    y = ref_chain.state_index(-1)
+def test_second_composites_degenerate_and_closed_form(ref_chain):
     z = ref_chain.zero_index
+    u0, utf, lives = _rk_lives(ref_chain, 2)
+    profile = hitting_profile(u0)
 
-    g_hat, g_bar, w, rho = second_rk_composites_block(
-        2, 1.0, 0.0, profile, u0f, utf, y, mu_vec, 5_000, rng
-    )
-    assert np.array_equal(g_hat, g_bar)  # t = 0 collapses the bump exactly
+    # the same stream drawn with a plain tail and with a bump at t = 0
+    plain, w_plain = composite_block(1.0, lives, 5_000,
+                                     np.random.default_rng(7), (utf, None))
+    bumped, w_bumped = composite_block(1.0, lives, 5_000,
+                                       np.random.default_rng(7),
+                                       (utf, (profile, 0.0)))
+    assert np.array_equal(plain, bumped)  # t = 0 collapses the bump exactly
+    assert np.array_equal(w_plain, w_bumped)
 
     t = 0.8
-    g_hat, g_bar, w, rho = second_rk_composites_block(
-        1, 1.0, t, profile, u0f, utf, y, mu_vec, 200_000, rng
-    )
-    # at state 0 the bump contributes t ^ rho on top of s^2/2
-    diff = g_bar[:, z] - g_hat[:, z]
+    lives = _rk_lives(ref_chain, 1)[2]
+    plain, _ = composite_block(1.0, lives, 200_000,
+                               np.random.default_rng(8), (utf, None))
+    bumped, _ = composite_block(1.0, lives, 200_000,
+                                np.random.default_rng(8),
+                                (utf, (profile, t)))
+    # at state 0 the bump contributes t ^ rho on top of s^2/2; rho is the
+    # last draw of the stream
+    rng8 = np.random.default_rng(8)
+    sample_block(utf, 200_000, rng8)
+    sample_block(utf, 200_000, rng8)
+    rho = rng8.exponential(scale=profile.u00, size=200_000)
+    diff = bumped[:, z] - plain[:, z]
     assert np.allclose(diff, np.minimum(t, rho))
     target = 0.5 + profile.u00 * -np.expm1(-t / profile.u00)
-    vals = g_bar[:, z]
+    vals = bumped[:, z]
     se = vals.std() / np.sqrt(vals.size)
     assert abs(vals.mean() - target) < 4 * se
 

@@ -6,14 +6,15 @@ so a failure detected here only grows with the sample size.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 import rklab.harnesses as harnesses
-from rklab.batch import make_kernel, mu_tables
 from rklab.chains import (
     ChainSpec,
+    HittingProfile,
     RebirthMeasure,
     birth_death_chain,
     build_chain,
@@ -21,7 +22,7 @@ from rklab.chains import (
 )
 from rklab.errors import ConditioningTooRare, DegenerateESS, InvariantError
 from rklab.harnesses import REGISTRY, TestPlan
-from rklab.stats import compare_fields
+from rklab.stats import compare_fields, strict_json
 from plans import (
     absorbed_path_chain,
     five_path_chain,
@@ -74,7 +75,14 @@ def test_single_state_rebirth_rejected():
 def test_reference_chain_passes(name, kw):
     rep = REGISTRY[name](ref_plan(911, 1, replicates=N_FAST, **kw))
     assert rep.verdict, f"max |z| = {rep.max_abs_z():.2f}"
-    assert rep.metadata.get("analytic_first_moment_gap", 0.0) <= 1e-12
+    if name.endswith("-cond"):
+        return
+    # the tilted identities carry exact first-moment rows, one per test
+    # point and form, that agree to roundoff
+    exact = _exact_rows(rep)
+    assert len(exact) == 3 * (2 if name == "second-rk" else 1)
+    assert all(row.gating and row.se == 0.0 and abs(row.z) < 1e-3
+               for row in exact), exact
 
 
 def test_nonuniform_measure_passes(nonuniform_chain):
@@ -236,7 +244,80 @@ def test_first_rk_lives_record_only_the_readout(monkeypatch):
         return out
 
     monkeypatch.setattr(harnesses, "simulate", spy)
-    fields = harnesses._first_rk_markov_fields(
-        plan, make_kernel(chain), mu_tables(chain, plan.mu), keep)
-    assert fields.shape == (10_000, keep.size)
+    rep = harnesses.run_first_rk(plan)
+    assert rep.n_lhs == 10_000
     assert widths == [keep.size] * 4  # two lives, two blocks each
+
+
+def _exact_rows(rep):
+    return [row for row in rep.rows if "exact:" in row.statistic]
+
+
+def _sampled_digest(rep):
+    rows = [row.to_dict() for row in rep.rows
+            if "exact:" not in row.statistic]
+    return hashlib.sha256(strict_json(rows).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of every sampled row of the tilted identities at 1e4
+# replicates.  They fix the random streams and the draw order of the Markov
+# legs and the composites; a refactor that keeps both reproduces them.
+@pytest.mark.parametrize("name,kw,digest", [
+    ("eisenbaum", {"s": 1.0}, "430c3cf879e1f543"),
+    ("eisenbaum", {"s": 10.0}, "18492411fc0b20db"),
+    ("first-rk", {"r": 1}, "c6e3e919b9156dd6"),
+    ("first-rk", {"r": 2}, "9c7536ed3022bee8"),
+    ("first-rk", {"r": 3}, "24c88413f7ad69b0"),
+    ("second-rk", {"r": 1}, "09a1f1a160b0bed8"),
+    ("second-rk", {"r": 2}, "063955eea735412c"),
+])
+def test_tilted_rows_pinned(name, kw, digest):
+    rep = REGISTRY[name](ref_plan(20260810, 1, replicates=10_000, **kw))
+    assert _sampled_digest(rep) == digest
+
+
+def _first_rk_parts(plan):
+    u0, ut, u0f, utf = harnesses._factors(plan)
+    legs, lives = harnesses._first_rk_spec(plan, u0f, utf)
+    return (u0.table, ut.table), legs, lives
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_miswired_leg_fails_exact_rows(r):
+    # the life stopped at 0 run to its death instead: the legs' mean no
+    # longer matches the tilt's share of the killed factor
+    plan = ref_plan(922, 1, replicates=10_000, r=r)
+    green, legs, lives = _first_rk_parts(plan)
+    legs[-1] = legs[-1][:3] + ("death",)
+    rep = harnesses._tilted(plan, "first-rk", green, legs, lives, None,
+                            (60, 61))
+    assert not rep.verdict
+    assert max(abs(row.z) for row in _exact_rows(rep)) > 1e6
+
+
+def test_reversed_profile_restriction_fails(monkeypatch):
+    # h read at the readout states -1, 1, 2 in reverse order bumps -1 by
+    # h(2) != h(-1)
+    restrict = HittingProfile.restrict
+    monkeypatch.setattr(HittingProfile, "restrict",
+                        lambda self, keep: restrict(self, keep[::-1]))
+    plan = TestPlan(chain=five_path_chain(),
+                    mu=RebirthMeasure(weights={2: 1.0}), start=-1,
+                    replicates=10_000, seed=923, test_points=(-1, 1, 2), r=2)
+    rep = REGISTRY["second-rk"](plan)
+    assert not rep.verdict
+    for part in ("standalone", "combined"):
+        exact = [row for row in _exact_rows(rep)
+                 if row.statistic.startswith(part)]
+        assert max(abs(row.z) for row in exact) > 1e6
+
+
+@pytest.mark.parametrize("name,r", [("first-rk", 1), ("first-rk", 2),
+                                    ("second-rk", 1), ("second-rk", 2)])
+def test_wrong_cov_fails_on_exact_rows(name, r):
+    plan = ref_plan(924, 1, replicates=10_000, r=r, defect="wrong-cov")
+    rep = REGISTRY[name](plan)
+    exact = _exact_rows(rep)
+    assert max(abs(row.z) for row in exact) > 1e6
+    # the exact rows alone give the FAIL
+    assert not dataclasses.replace(rep, rows=exact).verdict
