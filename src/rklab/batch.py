@@ -280,7 +280,7 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     # no reader of ``field``/``fields`` meets one narrower than the chain
     suffix = "" if cols is None else "_cols"
     cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.int64)
-    if cols.ndim != 1 or np.unique(cols).size != cols.size \
+    if cols.ndim != 1 or np.any(np.diff(np.sort(cols)) == 0) \
             or (cols.size and (cols.min() < 0 or cols.max() >= n)):
         raise ValueError(f"cols must be distinct states in [0, {n}), got "
                          f"{cols.tolist()}")

@@ -2,8 +2,9 @@
 
 A chain is specified by jump rates in detailed balance with a positive
 reference measure m and killed at a constant rate beta > 0.  Every kernel the
-verification harnesses compare against is an exact dense matrix computed
-here:
+verification harnesses compare against is an exact dense table computed
+here, either on every state or on a block of states (the few a harness
+reads), whose ``states``/``index`` then label the block:
 
 * ``U_P``        resolvent density  u_p(x,y) = [((p+beta)I - Q)^-1]_{xy} / m_y
 * ``W_P``        density of the process rebirthed from a measure mu
@@ -31,6 +32,7 @@ from .errors import (
     InvariantError,
     NonPositiveMeasure,
     NonPositiveP,
+    NotPSD,
     SingularResolvent,
     ZeroDiagonal,
     ZeroF,
@@ -154,7 +156,8 @@ class RebirthMeasure:
 
 @dataclass(frozen=True)
 class PotentialMatrix:
-    """Dense kernel table indexed like the chain that produced it."""
+    """Dense kernel table on every state of a chain or on a block of them;
+    ``states``/``index`` label its rows and columns."""
 
     kind: Kind
     order: float
@@ -201,10 +204,12 @@ def build_chain(spec: ChainSpec, coords=None) -> SymmetricChain:
             Q[index[x], index[y]] += r
     np.fill_diagonal(Q, -(Q.sum(axis=1) + absorb))
 
-    # detailed balance of the assembled matrix: D_m Q symmetric
+    # detailed balance of the assembled matrix: D_m Q symmetric; one n x n
+    # temporary at a time besides Q and B
     B = m[:, None] * Q
-    defect = np.abs(B - B.T)
     scale = max(np.abs(B).max(), 1.0)
+    defect = B - B.T
+    np.abs(defect, out=defect)
     if defect.max() > CONSTRUCTION_RTOL * scale:
         i, j = np.unravel_index(np.argmax(defect), defect.shape)
         raise DetailedBalanceViolation(
@@ -249,41 +254,75 @@ def _check_zero_reachable(chain: SymmetricChain):
         raise ZeroUnreachable(f"state 0 unreachable from {missing!r}")
 
 
-def potential_matrix(chain: SymmetricChain, p: float = 0.0) -> PotentialMatrix:
-    """Exact density table of the p-resolvent, inverse of (p+beta)I - Q.
+def potential_matrix(chain: SymmetricChain, p: float = 0.0,
+                     cols=None) -> PotentialMatrix:
+    """Exact density table of the p-resolvent, inverse of A = (p+beta)I - Q,
+    on the states at the chain indices ``cols`` (sorted; None: every state).
 
-    Allowed at p = 0 because the kill rate makes the chain transient.  The
-    raw inverse is divided on the right by the diagonal of m and then
+    Allowed at p = 0 because the kill rate makes the chain transient.  Only
+    the |cols| columns of the inverse are solved for, from the same LU
+    factor as the full table.  When that factor is banded (every path and
+    birth-death chain), each step of the triangular solves has one nonzero
+    term, so the block equals the full table's [cols][:, cols] bit for bit;
+    on a dense chain BLAS may block a narrower solve differently and move
+    last bits.  The raw block is divided on the right by m and then
     symmetrised; the pre-symmetrisation defect must sit at roundoff level.
+
+    Before the solve, the symmetric precision D_m A must be strictly
+    diagonally dominant with a positive diagonal, which makes it, and so the
+    kernel on every block, positive definite; otherwise :class:`NotPSD`.
+    The condition warning uses Varah's bound ||A||_inf / min row margin.
     """
     if p < 0:
         raise NonPositiveP("resolvent order p must be >= 0")
     n = chain.n_states
-    A = (p + chain.kill_rate) * np.eye(n) - chain.generator
-    try:
-        R = np.linalg.solve(A, np.eye(n))
-    except np.linalg.LinAlgError as exc:  # cannot occur with beta > 0
-        raise SingularResolvent(str(exc)) from exc
-    cond = np.linalg.norm(A, 1) * np.linalg.norm(R, 1)
+    cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.int64)
+    Q = chain.generator
+    diag = (p + chain.kill_rate) - np.diagonal(Q)
+    A = np.abs(Q)  # first |Q|, for the row sums off the diagonal
+    np.fill_diagonal(A, 0.0)
+    off = A.sum(axis=1)
+    margin = diag - off
+    bad = (chain.measure <= 0) | ~(margin > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotPSD(
+            f"precision D_m A not diagonally dominant at state "
+            f"{chain.states[i]!r}: measure {chain.measure[i]:.3e}, "
+            f"row margin {margin[i]:.3e}"
+        )
+    cond = (diag + off).max() / margin.min()
     if cond > COND_WARN:
         warnings.warn(
             f"resolvent condition estimate {cond:.3e} above {COND_WARN:.0e}",
             RuntimeWarning,
         )
-    table = R / chain.measure[None, :]
+    np.subtract(0.0, Q, out=A)
+    A.flat[::n + 1] = diag
+    # one right-hand side would go through a triangular solve that rounds
+    # unlike the one every wider solve uses, so a zero column pads it
+    k = cols.size
+    rhs = np.zeros((n, max(k, min(n, 2))))
+    rhs[cols, np.arange(k)] = 1.0
+    try:
+        R = np.linalg.solve(A, rhs)[cols, :k]
+    except np.linalg.LinAlgError as exc:  # cannot occur once dominant
+        raise SingularResolvent(str(exc)) from exc
+    table = R / chain.measure[None, cols]
     defect = np.abs(table - table.T).max()
     if defect > CONSTRUCTION_RTOL * max(np.abs(table).max(), 1.0):
         raise SingularResolvent(
             f"resolvent density asymmetric beyond tolerance (defect {defect:.3e})"
         )
     table = 0.5 * (table + table.T)
+    states = tuple(chain.states[i] for i in cols)
     return PotentialMatrix(
         kind=Kind.U_P,
         order=float(p),
         table=table,
         zero_state=chain.zero_state,
-        states=chain.states,
-        index=dict(chain.index),
+        states=states,
+        index={x: k for k, x in enumerate(states)},
     )
 
 

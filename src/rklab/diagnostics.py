@@ -155,12 +155,14 @@ def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     d_col = chain.state_index(cfg.d)
     if chain.zero_accessible and d_col == chain.zero_index:
         raise InvariantError("local modulus centre must differ from 0")
-    u0 = potential_matrix(chain, 0.0).table
     o_max = int(np.floor(max(cfg.scales) / spacing + 1e-9))
     n = chain.n_states
     # the window d +- o for o <= o_max; column col of the chain is col - lo
+    # in the fields and in u0, which is solved on the window only
     lo = max(d_col - o_max, 0)
     window = np.arange(lo, min(d_col + o_max, n - 1) + 1)
+    u0 = potential_matrix(chain, 0.0, cols=window).table
+    dd = d_col - lo
     fields = _sweep_fields(cfg, "modulus-local", window) if fields is None \
         else fields[:, window]
     per_scale = []
@@ -171,17 +173,17 @@ def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     )
     ci = 0
     at_scale = {}
-    denom = np.sqrt(2.0 * fields[:, d_col - lo])
+    denom = np.sqrt(2.0 * fields[:, dd])
     denom[denom == 0.0] = np.nan
     for o in range(1, o_max + 1):
         for col in (d_col - o, d_col + o):
             if 0 <= col < n:
-                sig2 = u0[col, col] + u0[d_col, d_col] - 2.0 * u0[col, d_col]
+                c = col - lo
+                sig2 = u0[c, c] + u0[dd, dd] - 2.0 * u0[c, dd]
                 phi = _modulus_phi("loglog", np.array([sig2]),
                                    np.array([o * spacing]))[0]
                 np.maximum(running,
-                           np.abs(fields[:, col - lo]
-                                  - fields[:, d_col - lo]) / phi,
+                           np.abs(fields[:, c] - fields[:, dd]) / phi,
                            out=running)
         while ci < len(checkpoints) and checkpoints[ci][0] == o:
             at_scale[checkpoints[ci][1]] = running / denom
@@ -210,7 +212,7 @@ def uniform_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
                       & (chain.coords <= hi + 1e-12))[0]
     if cols.size < 9:
         raise GridTooCoarse("window holds fewer than 9 grid points")
-    u0 = potential_matrix(chain, 0.0).table
+    u0 = potential_matrix(chain, 0.0, cols=cols).table  # on the window
     F = _sweep_fields(cfg, "modulus-uniform", cols) if fields is None \
         else fields[:, cols]
     denom = np.sqrt(2.0 * F.max(axis=1))
@@ -225,10 +227,8 @@ def uniform_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     at_scale = {}
     diag = np.diag(u0)
     for o in range(1, min(o_max, cols.size - 1) + 1):
-        a = cols[:-o]
-        b = cols[o:]
-        sig2 = diag[a] + diag[b] - 2.0 * u0[a, b]
-        phi = _modulus_phi("log", sig2, np.full(a.size, o * spacing))
+        sig2 = diag[:-o] + diag[o:] - 2.0 * np.diagonal(u0, o)
+        phi = _modulus_phi("log", sig2, np.full(sig2.size, o * spacing))
         np.maximum(
             running,
             (np.abs(F[:, o:] - F[:, :-o]) / phi[None, :]).max(axis=1),

@@ -44,7 +44,8 @@ class ZeroDiagonal(RKLabError):
 # Gaussian factorisation --------------------------------------------------
 
 class NotPSD(RKLabError):
-    """Covariance has a significantly negative eigenvalue."""
+    """Covariance has a significantly negative eigenvalue, or a chain's
+    precision is not certified positive definite."""
 
 
 class ZeroShift(RKLabError):

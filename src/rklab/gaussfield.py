@@ -3,11 +3,14 @@
 The harnesses read a Gaussian field only on a small readout set S of states
 (the test points, the start state and the support of the rebirth measure),
 and the marginal of a centred Gaussian vector on S is exactly N(0, C[S, S]).
-So a covariance coming out of :mod:`rklab.chains` is checked for positive
-semi-definiteness on the whole table, then factored on the block C[S, S]
-only (pivoted Cholesky, so rank-deficient kernels like the killed-at-zero
-one keep an exact zero at state 0), and fields are drawn |S| wide.  With S
-every state, the default, this is the full field.  The composite sampler
+So a covariance table is checked for positive semi-definiteness on the
+whole table passed in, then factored on the block C[S, S] only (pivoted
+Cholesky, so rank-deficient kernels like the killed-at-zero one keep an
+exact zero at state 0), and fields are drawn |S| wide.  With S every state,
+the default, this is the full field.  The harnesses pass chain kernels
+already cut to S and state 0; positive definiteness on every such block is
+certified by :func:`rklab.chains.potential_matrix` from the chain's
+precision.  The composite sampler
 builds the Gaussian side of the Eisenbaum, hitting-time and
 inverse-local-time identities on whatever columns the factor carries:
 
@@ -36,8 +39,9 @@ PIVOT_RTOL = 1e-10  # pivots below this times the block trace count as 0
 class FieldFactor:
     """Low-rank root of a covariance block.
 
-    ``keep`` lists the table indices the root's rows stand for, in order;
-    root @ root.T reproduces table[keep][:, keep].
+    ``keep`` lists the states the root's rows stand for, in order, as
+    indices of the table factored (the harnesses re-label them with chain
+    indices); root @ root.T reproduces table[keep][:, keep].
     """
 
     root: np.ndarray
@@ -81,8 +85,9 @@ def _pivoted_cholesky(C: np.ndarray, tol: float):
 def factor_covariance(cov: PotentialMatrix, keep=None) -> FieldFactor:
     """Build a sampling root for a PSD kernel table, on the states ``keep``.
 
-    The positive semi-definiteness check covers the whole symmetrised table,
-    so a non-PSD kernel raises :class:`NotPSD` whatever ``keep`` is.  Only
+    The positive semi-definiteness check covers the whole symmetrised table
+    passed in, so a non-PSD table raises :class:`NotPSD` whatever ``keep``
+    is; a chain kernel cut to a block is certified by its precision.  Only
     the block on ``keep`` (table indices, sorted; ``None`` means every state)
     is factored, and fields drawn from the root are the exact marginal of
     the full field on those states.  Directions whose pivot falls below

@@ -21,7 +21,7 @@ ingredient so that the test suite can demonstrate statistical power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -248,30 +248,47 @@ def _on_readout(plan, keep):
     return y_pos, mu_vec
 
 
-def _factors(plan):
+def _green(plan):
+    """The readout set S, the block K of S and state 0 (sorted chain
+    indices), and u0 on K: every kernel entry a tilted identity reads."""
     keep = _readout(plan)
-    u0 = potential_matrix(plan.chain, 0.0)
+    z = plan.chain.zero_index
+    block = keep if z is None or z in keep \
+        else np.insert(keep, np.searchsorted(keep, z), z)
+    return keep, block, potential_matrix(plan.chain, 0.0, cols=block)
+
+
+def _root(table, block, keep):
+    """The sampling root of a kernel ``table`` on the block, on the chain
+    indices ``keep``, which it keeps as its states."""
+    factor = factor_covariance(table, keep=np.searchsorted(block, keep))
+    return replace(factor, keep=keep)
+
+
+def _factors(plan):
+    """u0 and u~0 on the block K as ``green`` = (K, u0, u~0), the block u0,
+    and the roots of u0 and u~0 on the readout set."""
+    keep, block, u0 = _green(plan)
     ut = killed_at_zero_potential(u0)
-    u0f = factor_covariance(u0, keep=keep)
-    utf = factor_covariance(ut, keep=keep)
+    u0f, utf = _root(u0, block, keep), _root(ut, block, keep)
     if plan.defect == "wrong-cov":
         utf = u0f
-    return u0, ut, u0f, utf
+    return (block, u0.table, ut.table), u0, u0f, utf
 
 
 def _leg_mean(plan, green, leg):
     """Exact mean field of one Markov leg at the test points, from the
-    kernel tables ``green`` = (u0, u~0)."""
+    kernel tables ``green`` = (K, u0, u~0) on the block K."""
     _, start, level, stop = leg
-    u0, ut = green
-    cols = plan.tp_cols
+    block, u0, ut = green
+    cols = np.searchsorted(block, plan.tp_cols)
     if stop == "left":  # from 0 to the left inverse local time at level t
-        z = plan.chain.zero_index
+        z = np.searchsorted(block, plan.chain.zero_index)
         return u0[z, cols] ** 2 / u0[z, z] * -np.expm1(-level[1] / u0[z, z])
     table = ut if stop == "zero" else u0
     if start[0] == "fixed":
-        return table[start[1], cols]
-    return (_mu_vec(plan) @ table)[cols]
+        return table[np.searchsorted(block, start[1]), cols]
+    return (_mu_vec(plan)[block] @ table)[cols]
 
 
 def _tilt_share(lives, tail, pos):
@@ -298,7 +315,7 @@ def _tilted(plan, harness, green, legs, lives, tail, roles, weighted=True):
     :func:`composite_block`) with ``tail`` = (factor, bump) drawn plain.
     Right side: the same composite with the tail bumped, under its tilt
     when ``weighted``.  ``roles`` number the two composite streams.  The
-    ``exact:mean`` rows compare the legs' mean from ``green`` = (u0, u~0)
+    ``exact:mean`` rows compare the legs' mean from ``green`` = (K, u0, u~0)
     with the tilt's share from the sampling roots (se 0).
     """
     keep = (lives[0] if lives else tail)[0].keep
@@ -413,11 +430,11 @@ def run_eisenbaum(plan: TestPlan) -> ComparisonReport:
     shifted square."""
     if plan.s == 0:
         raise InvariantError("eisenbaum harness needs s != 0")
-    u0 = potential_matrix(plan.chain, 0.0)
-    u0f = factor_covariance(u0, keep=_readout(plan))
+    keep, block, u0 = _green(plan)
+    u0f = _root(u0, block, keep)
     y = plan.chain.state_index(plan.start)
-    y_pos, _ = _on_readout(plan, u0f.keep)
-    return _tilted(plan, "eisenbaum", (u0.table, None),
+    y_pos, _ = _on_readout(plan, keep)
+    return _tilted(plan, "eisenbaum", (block, u0.table, None),
                    [(1, ("fixed", y), None, "death")], [(u0f, y_pos)], None,
                    (2, 3))
 
@@ -427,9 +444,9 @@ def run_first_rk(plan: TestPlan) -> ComparisonReport:
     unweighted, against tilted composites."""
     if plan.r < 1:
         raise InvariantError("first-rk needs r >= 1")
-    u0, ut, u0f, utf = _factors(plan)
+    green, _, u0f, utf = _factors(plan)
     legs, lives = _first_rk_spec(plan, u0f, utf)
-    report = _tilted(plan, "first-rk", (u0.table, ut.table), legs, lives,
+    report = _tilted(plan, "first-rk", green, legs, lives,
                      None, (60, 61))
     report.metadata.update(r=plan.r, s=plan.s)
     return report
@@ -564,9 +581,9 @@ def run_second_rk(plan: TestPlan) -> ComparisonReport:
         raise InvariantError("second-rk needs r >= 1")
     if plan.t <= 0:
         raise InvariantError("second-rk needs t > 0")
-    u0, ut, u0f, utf = _factors(plan)
-    green = (u0.table, ut.table)
-    tail = (utf, (hitting_profile(u0).restrict(u0f.keep), plan.t))
+    green, u0, u0f, utf = _factors(plan)
+    at = np.searchsorted(green[0], u0f.keep)
+    tail = (utf, (hitting_profile(u0).restrict(at), plan.t))
     to_level = (("fixed", plan.chain.zero_index), ("fixed", plan.t), "left")
     # standalone: life from 0 run to the inverse time, plus a plain square,
     # against the bumped square (both sides unweighted)

@@ -1,5 +1,7 @@
 """Exact kernel construction and its algebraic invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,12 @@ from rklab.chains import (
     ChainSpec,
     Kind,
     RebirthMeasure,
+    SymmetricChain,
     birth_death_chain,
     build_chain,
     hitting_profile,
     killed_at_zero_potential,
+    path_chain,
     potential_matrix,
     rebirthed_potential,
 )
@@ -21,6 +25,7 @@ from rklab.errors import (
     InvariantError,
     NonPositiveMeasure,
     NonPositiveP,
+    NotPSD,
     ZeroUnreachable,
 )
 from strategies import path_chains
@@ -186,3 +191,82 @@ def test_rebirth_measure_invariants(ref_chain):
     with pytest.raises(InvariantError):
         RebirthMeasure(weights={1: 0.7}).validate(ref_chain)  # mass != 1
     RebirthMeasure(weights={1: 1.0}).validate(ref_chain)
+
+
+# kernel blocks ---------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@st.composite
+def _chain_block(draw):
+    """A path or birth-death chain, p >= 0, and sorted distinct columns that
+    hold the zero state or not."""
+    if draw(st.booleans()):
+        chain = draw(path_chains(absorbing=draw(st.booleans())))
+    else:
+        chain = birth_death_chain(draw(st.integers(2, 48)),
+                                  draw(st.floats(0.5, 200.0)),
+                                  kill_rate=draw(st.floats(0.1, 5.0)))
+    n = chain.n_states
+    cols = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    z = chain.zero_index
+    if z is not None:
+        if draw(st.booleans()):
+            cols.add(z)
+        elif len(cols) > 1:
+            cols.discard(z)
+    p = draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+    return chain, p, np.array(sorted(cols), dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chain_block())
+def test_block_equals_full_table(case):
+    chain, p, cols = case
+    full = potential_matrix(chain, p)
+    block = potential_matrix(chain, p, cols=cols)
+    sub = np.ix_(cols, cols)
+    assert _bits(block.table) == _bits(full.table[sub])
+    assert block.states == tuple(chain.states[i] for i in cols)
+    assert block.index == {x: k for k, x in enumerate(block.states)}
+    z = chain.zero_index
+    if p == 0.0 and z is not None and z in cols:
+        killed = killed_at_zero_potential(block)
+        assert _bits(killed.table) \
+            == _bits(killed_at_zero_potential(full).table[sub])
+        prof, whole = hitting_profile(block), hitting_profile(full)
+        assert _bits(prof.h) == _bits(whole.h[cols])
+        assert prof.u00 == whole.u00 and prof.states == block.states
+
+
+@pytest.mark.parametrize("cols", [None, [0], [1], [0, 1], [0, 2], [3],
+                                  [1, 2, 3]])
+def test_negative_rate_fails_every_block(cols):
+    # rates -2 between states 2 and 3: the precision is indefinite there,
+    # and no block escapes the check, not even one away from those states
+    Q = np.array([[-1.0, 1.0, 0.0, 0.0],
+                  [1.0, -2.0, 1.0, 0.0],
+                  [0.0, 1.0, 1.0, -2.0],
+                  [0.0, 0.0, -2.0, 2.0]])
+    chain = SymmetricChain(states=(0, 1, 2, 3), generator=Q,
+                           measure=np.ones(4), kill_rate=1.0, zero_state=0,
+                           zero_accessible=True, absorb_rate=np.zeros(4),
+                           index={x: x for x in range(4)})
+    assert np.linalg.eigvalsh(np.linalg.inv(np.eye(4) - Q)).min() < 0.0
+    with pytest.raises(NotPSD, match="at state 2"):
+        potential_matrix(chain, 0.0, cols=cols)
+
+
+def test_ill_conditioned_resolvent_warns():
+    # the reference chain at rate 1e13: Varah's bound ||A||_inf / min row
+    # margin is (1 + 4e13) / 1, the 1-norm condition number of A
+    chain = path_chain((-1, 0, 1), rate=1e13, coords=(-1.0, 0.0, 1.0))
+    for cols in (None, [1], [0, 2]):
+        with pytest.warns(RuntimeWarning, match="estimate 4.000e"):
+            potential_matrix(chain, 0.0, cols=cols)
+    # the 1025-state grid reads (1 + 4 * 128) / 1 = 513 and stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        potential_matrix(birth_death_chain(1024, 128.0), 0.0, cols=[512])

@@ -7,6 +7,7 @@ so a failure detected here only grows with the sample size.
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from rklab.chains import (
     RebirthMeasure,
     birth_death_chain,
     build_chain,
+    killed_at_zero_potential,
     path_chain,
+    potential_matrix,
 )
 from rklab.errors import ConditioningTooRare, DegenerateESS, InvariantError
+from rklab.gaussfield import factor_covariance
 from rklab.harnesses import REGISTRY, TestPlan
 from rklab.stats import compare_fields, strict_json
 from plans import (
@@ -249,6 +253,39 @@ def test_first_rk_lives_record_only_the_readout(monkeypatch):
     assert widths == [keep.size] * 4  # two lives, two blocks each
 
 
+def test_factors_solve_only_the_readout_block(monkeypatch):
+    # on a 513-state grid the Green kernel is solved for the columns of
+    # K = S + {0} only, no eigvalsh sees more than a K-block, no 513 x 513
+    # array is made but A and its LU factor, and the roots are the full
+    # table's bit for bit
+    chain = birth_death_chain(512, 128.0)
+    plan = TestPlan(chain=chain, mu=RebirthMeasure(weights={248: 1.0}),
+                    start=256, replicates=10_000, seed=5,
+                    test_points=(252, 256, 260), r=2)
+    keep = harnesses._readout(plan)
+    n, k = chain.n_states, keep.size + 1
+    solve, eigvalsh = np.linalg.solve, np.linalg.eigvalsh
+    rhs, eig = [], []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: rhs.append(b.shape) or solve(a, b))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: eig.append(a.shape) or eigvalsh(a))
+    tracemalloc.start()
+    green, _, u0f, utf = harnesses._factors(plan)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    monkeypatch.undo()
+    assert rhs == [(n, k)]
+    assert green[0].tolist() == [0] + keep.tolist()
+    assert eig and all(shape <= (k, k) for shape in eig)
+    assert peak < 2.5 * n * n * 8
+    full = potential_matrix(chain, 0.0)
+    for got, table in ((u0f, full), (utf, killed_at_zero_potential(full))):
+        want = factor_covariance(table, keep=keep)
+        assert got.keep.tolist() == keep.tolist() and got.rank == want.rank
+        assert got.root.tobytes() == want.root.tobytes()
+
+
 def _exact_rows(rep):
     return [row for row in rep.rows if "exact:" in row.statistic]
 
@@ -277,9 +314,9 @@ def test_tilted_rows_pinned(name, kw, digest):
 
 
 def _first_rk_parts(plan):
-    u0, ut, u0f, utf = harnesses._factors(plan)
+    green, _, u0f, utf = harnesses._factors(plan)
     legs, lives = harnesses._first_rk_spec(plan, u0f, utf)
-    return (u0.table, ut.table), legs, lives
+    return green, legs, lives
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
