@@ -313,6 +313,25 @@ def test_tilted_rows_pinned(name, kw, digest):
     assert _sampled_digest(rep) == digest
 
 
+ABSORBED = dict(chain=absorbed_path_chain(), test_points=(-1, 1, 2))
+
+
+# sha256 prefixes of the whole report JSON of the conditioned-trace
+# harnesses at 1e4 replicates: traces, lives and the marginal ensemble keep
+# their streams, and every row, count and metadata value its bits.
+@pytest.mark.parametrize("name,kw,digest", [
+    ("first-rk-cond", {"r": 2}, "1cfc446b999be455"),
+    ("first-rk-cond", {"r": 3}, "d2628a97b3f72377"),
+    ("second-rk-cond", {"r": 2, "p": 1.0}, "4b13cf1a87debb59"),
+    ("second-rk-cond", {"r": 3, "p": 1.0}, "5ae4a932a7465bd0"),
+    ("tminus", {"r": 2, **ABSORBED}, "bc2e7f4ed5f5d924"),
+    ("tminus", {"r": 3, **ABSORBED}, "9e1a1c5d720532d0"),
+])
+def test_conditional_reports_pinned(name, kw, digest):
+    rep = REGISTRY[name](ref_plan(20260810, 1, replicates=10_000, **kw))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest()[:16] == digest
+
+
 def _first_rk_parts(plan):
     green, _, u0f, utf = harnesses._factors(plan)
     legs, lives = harnesses._first_rk_spec(plan, u0f, utf)
