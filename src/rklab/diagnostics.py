@@ -144,6 +144,23 @@ def _median_ratios(per_scale):
     return medians, counts
 
 
+def _checkpointed(scales, spacing, offsets, increments, denom):
+    """Per scale h, the lanes' running maximum of ``increments(o)`` (arrays
+    of one value per lane) over the offsets o = 1 .. ``offsets`` with
+    o * spacing <= h, over ``denom``."""
+    checkpoints = {}
+    for h in scales:
+        checkpoints.setdefault(int(np.floor(h / spacing + 1e-9)), []).append(h)
+    running = np.zeros(denom.shape[0])
+    at_scale = {}
+    for o in range(1, offsets + 1):
+        for inc in increments(o):
+            np.maximum(running, inc, out=running)
+        for h in checkpoints.get(o, ()):
+            at_scale[h] = running / denom
+    return [at_scale[h] for h in scales]
+
+
 def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     """Median ratio of the local increment modulus at d to sqrt(2 L^d).
 
@@ -165,31 +182,20 @@ def local_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
     dd = d_col - lo
     fields = _sweep_fields(cfg, "modulus-local", window) if fields is None \
         else fields[:, window]
-    per_scale = []
-    running = np.zeros(fields.shape[0])
-    # offsets ascending; record the running maximum at each scale checkpoint
-    checkpoints = sorted(
-        (int(np.floor(h / spacing + 1e-9)), h) for h in cfg.scales
-    )
-    ci = 0
-    at_scale = {}
     denom = np.sqrt(2.0 * fields[:, dd])
     denom[denom == 0.0] = np.nan
-    for o in range(1, o_max + 1):
+
+    def increments(o):
         for col in (d_col - o, d_col + o):
             if 0 <= col < n:
                 c = col - lo
                 sig2 = u0[c, c] + u0[dd, dd] - 2.0 * u0[c, dd]
                 phi = _modulus_phi("loglog", np.array([sig2]),
                                    np.array([o * spacing]))[0]
-                np.maximum(running,
-                           np.abs(fields[:, c] - fields[:, dd]) / phi,
-                           out=running)
-        while ci < len(checkpoints) and checkpoints[ci][0] == o:
-            at_scale[checkpoints[ci][1]] = running / denom
-            ci += 1
-    per_scale = [at_scale[h] for h in cfg.scales]
-    medians, counts = _median_ratios(per_scale)
+                yield np.abs(fields[:, c] - fields[:, dd]) / phi
+
+    medians, counts = _median_ratios(
+        _checkpointed(cfg.scales, spacing, o_max, increments, denom))
     return SweepResult(
         sweep_id="modulus-local", scales=tuple(cfg.scales),
         ratios=tuple(medians), target=1.0, replicates=cfg.replicates,
@@ -212,33 +218,23 @@ def uniform_modulus_sweep(cfg: SweepConfig, fields=None) -> SweepResult:
                       & (chain.coords <= hi + 1e-12))[0]
     if cols.size < 9:
         raise GridTooCoarse("window holds fewer than 9 grid points")
+    o_max = int(np.floor(max(cfg.scales) / spacing + 1e-9))
+    if o_max >= cols.size:
+        raise GridTooCoarse("window is narrower than the largest scale")
     u0 = potential_matrix(chain, 0.0, cols=cols).table  # on the window
     F = _sweep_fields(cfg, "modulus-uniform", cols) if fields is None \
         else fields[:, cols]
     denom = np.sqrt(2.0 * F.max(axis=1))
     denom[denom == 0.0] = np.nan
-
-    o_max = int(np.floor(max(cfg.scales) / spacing + 1e-9))
-    running = np.zeros(F.shape[0])
-    checkpoints = sorted(
-        (int(np.floor(h / spacing + 1e-9)), h) for h in cfg.scales
-    )
-    ci = 0
-    at_scale = {}
     diag = np.diag(u0)
-    for o in range(1, min(o_max, cols.size - 1) + 1):
+
+    def increments(o):
         sig2 = diag[:-o] + diag[o:] - 2.0 * np.diagonal(u0, o)
         phi = _modulus_phi("log", sig2, np.full(sig2.size, o * spacing))
-        np.maximum(
-            running,
-            (np.abs(F[:, o:] - F[:, :-o]) / phi[None, :]).max(axis=1),
-            out=running,
-        )
-        while ci < len(checkpoints) and checkpoints[ci][0] == o:
-            at_scale[checkpoints[ci][1]] = running / denom
-            ci += 1
-    per_scale = [at_scale[h] for h in cfg.scales]
-    medians, counts = _median_ratios(per_scale)
+        return [(np.abs(F[:, o:] - F[:, :-o]) / phi[None, :]).max(axis=1)]
+
+    medians, counts = _median_ratios(
+        _checkpointed(cfg.scales, spacing, o_max, increments, denom))
     return SweepResult(
         sweep_id="modulus-uniform", scales=tuple(cfg.scales),
         ratios=tuple(medians), target=1.0, replicates=cfg.replicates,

@@ -12,6 +12,10 @@ kernel tables, against the tilt's share of the tilted side, from the
 sampling roots; the two agree to roundoff, so a gap there means a mis-wired
 life, factor or restriction, not bad luck.
 
+The conditioned-trace harnesses share one runner, :func:`_conditioned`:
+rebirthed traces kept where they stop in life r, against r independent
+lives.  :func:`_factorised` reports the two conditional factorisations.
+
 :data:`REGISTRY` is the one table of harnesses: every harness id of a config
 maps to its run function, which declares the number that fixes its random
 streams (:func:`tag_for`), the plan type it takes and the injected defects
@@ -248,13 +252,20 @@ def _on_readout(plan, keep):
     return y_pos, mu_vec
 
 
+def _with_zero(chain, states):
+    """The chain indices ``states``, sorted, with state 0 added."""
+    states = np.sort(states)
+    z = chain.zero_index
+    if z is None or z in states:
+        return states
+    return np.insert(states, np.searchsorted(states, z), z)
+
+
 def _green(plan):
     """The readout set S, the block K of S and state 0 (sorted chain
     indices), and u0 on K: every kernel entry a tilted identity reads."""
     keep = _readout(plan)
-    z = plan.chain.zero_index
-    block = keep if z is None or z in keep \
-        else np.insert(keep, np.searchsorted(keep, z), z)
+    block = _with_zero(plan.chain, keep)
     return keep, block, potential_matrix(plan.chain, 0.0, cols=block)
 
 
@@ -288,7 +299,10 @@ def _leg_mean(plan, green, leg):
     table = ut if stop == "zero" else u0
     if start[0] == "fixed":
         return table[np.searchsorted(block, start[1]), cols]
-    return (_mu_vec(plan)[block] @ table)[cols]
+    # summed atom by atom, so that the bits do not depend on K
+    mu_vec = _mu_vec(plan)
+    return sum(mu_vec[x] * table[np.searchsorted(block, x), cols]
+               for x in np.flatnonzero(mu_vec))
 
 
 def _tilt_share(lives, tail, pos):
@@ -366,6 +380,74 @@ def _first_rk_spec(plan, u0f, utf):
     lives = [(u0f, y_pos)] + [(u0f, mu_vec)] * (plan.r - 2) \
         + [(utf, mu_vec)]
     return legs, lives
+
+
+def _conditioned(plan, harness, cols, stop, life_stop, level=None,
+                 what="stopped", marginal=None):
+    """(traces, kept, fields, lives, ref) of a conditioned-trace harness,
+    recorded on ``cols`` under the level spec ``level``.  Role 1: traces
+    run to ``stop`` in at most r lives, ``kept`` where it fired in life r
+    (``fields``, at least MIN_CONDITIONED; the error says how few were
+    ``what``).  Roles 11 .. 10 + r: lives from y, then from mu, run to
+    ``life_stop``.  Role 2, on the engine arguments ``marginal``: lives from
+    mu whose stopped lanes (all under ``unconditioned-marginal``) are ``ref``.
+    """
+    r = plan.r
+    if r < 2:
+        raise InvariantError(f"{harness} needs r >= 2")
+    kernel = make_kernel(plan.chain)
+    mu_pack = mu_tables(plan.chain, plan.mu)
+    y, mu = ("fixed", plan.chain.state_index(plan.start)), ("mu",) + mu_pack
+    traces = _markov(plan, harness, 1, kernel, y, level, stop=stop,
+                     record="epochs", rebirth=mu_pack, r_max=r, cols=cols)
+    kept = traces["stop_epoch"] == r
+    n_kept = int(np.count_nonzero(kept))
+    if n_kept < MIN_CONDITIONED:
+        raise ConditioningTooRare(
+            f"only {n_kept} of {plan.replicates} traces {what} at epoch {r}")
+    lives = [_markov(plan, harness, 10 + i, kernel, y if i == 1 else mu,
+                     level, stop=life_stop, cols=cols)
+             for i in range(1, r + 1)]
+    ref = None
+    if marginal is not None:
+        out = _markov(plan, harness, 2, kernel, mu, level, cols=cols,
+                      **marginal)
+        ref = out["field_cols"] if plan.defect == "unconditioned-marginal" \
+            else out["field_cols"][out["stopped"]]
+    return traces, kept, traces["fields_cols"][kept], lives, ref
+
+
+def _factorised(plan, harness, fields, at, ref, hits):
+    """The report of a conditional factorisation: the stopping life of the
+    kept traces' ``fields`` against ``ref`` (``marginal:`` rows), its
+    transform uncorrelated with the first life's (``condind`` rows), and the
+    kept fraction against the product of the r lives' factors, P(no hit)
+    for the early lives and P(hit) for the last, from ``hits`` (the
+    ``factorization`` row).  ``at`` are the test points' record columns."""
+    r, n_kept = plan.r, fields.shape[0]
+    early = fields[:, 0, :][:, at]
+    last = fields[:, r - 1, :][:, at]
+    rows = compare_sides(
+        side_estimates(last, plan.point_labels, plan.laplace_probes,
+                       moment_orders=plan.moment_orders),
+        side_estimates(ref[:, at], plan.point_labels, plan.laplace_probes,
+                       moment_orders=plan.moment_orders),
+    )
+    rows = [StatRow(f"marginal:{row.statistic}", row.lhs, row.rhs, row.se,
+                    row.z) for row in rows]
+    rows += covariance_zero_rows(np.exp(-early), np.exp(-last),
+                                 plan.point_labels, plan.point_labels)
+    fracs = [float(np.mean(hit)) if i == r else 1.0 - float(np.mean(hit))
+             for i, hit in enumerate(hits, 1)]
+    rows.append(product_fraction_row(
+        "factorization", n_kept / plan.replicates, plan.replicates, fracs,
+        [hit.shape[0] for hit in hits]))
+    return ComparisonReport(
+        test_id=harness, rows=rows, seed=plan.seed, n_lhs=n_kept,
+        n_rhs=ref.shape[0], z_max=plan.z_max,
+        metadata={"defect": plan.defect, "r": r,
+                  "conditioned_fraction": n_kept / plan.replicates},
+    )
 
 
 # harnesses ------------------------------------------------------------------
@@ -456,110 +538,35 @@ def run_first_rk_cond(plan: TestPlan) -> ComparisonReport:
     """Conditional factorisation at the hitting time: the stopping epoch's
     field matches an independently conditioned life, transformed early and
     late epochs are uncorrelated, and the stop-epoch probability factorises."""
-    if plan.r < 2:
-        raise InvariantError("conditional harness needs r >= 2")
-    chain = plan.chain
-    kernel = make_kernel(chain)
-    mu_pack = mu_tables(chain, plan.mu)
-    y = chain.state_index(plan.start)
     cols = plan.tp_cols
-    r = plan.r
-
-    at = np.arange(cols.size)  # the test points' columns in a record on cols
-
-    traces = _markov(plan, "first-rk-cond", 1, kernel, ("fixed", y),
-                     stop="zero", record="epochs", rebirth=mu_pack, r_max=r,
-                     cols=cols)
-    kept = traces["stop_epoch"] == r
-    n_kept = int(np.count_nonzero(kept))
-    if n_kept < MIN_CONDITIONED:
-        raise ConditioningTooRare(
-            f"only {n_kept} of {plan.replicates} traces stopped at epoch {r}"
-        )
-    early = traces["fields_cols"][kept][:, 0, :][:, at]
-    last = traces["fields_cols"][kept][:, r - 1, :][:, at]
-
-    marginal = _markov(plan, "first-rk-cond", 2, kernel, ("mu",) + mu_pack,
-                       stop="zero", cols=cols)
-    if plan.defect == "unconditioned-marginal":
-        ref = marginal["field_cols"][:, at]
-    else:
-        ref = marginal["field_cols"][marginal["stopped"]][:, at]
-
-    rows = compare_sides(
-        side_estimates(last, plan.point_labels, plan.laplace_probes,
-                       moment_orders=plan.moment_orders),
-        side_estimates(ref, plan.point_labels, plan.laplace_probes,
-                       moment_orders=plan.moment_orders),
-    )
-    rows = [StatRow(f"marginal:{row.statistic}", row.lhs, row.rhs, row.se,
-                    row.z) for row in rows]
-    rows += covariance_zero_rows(np.exp(-early), np.exp(-last),
-                                 plan.point_labels, plan.point_labels)
-
-    # stop-epoch probability against the product of per-life factors
-    fracs, ns = [], []
-    for i in range(1, r + 1):
-        spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
-        ens = _markov(plan, "first-rk-cond", 10 + i, kernel, spec,
-                      stop="zero", cols=cols)
-        frac_hit = float(np.mean(ens["stopped"]))
-        fracs.append(frac_hit if i == r else 1.0 - frac_hit)
-        ns.append(ens["stopped"].shape[0])
-    rows.append(product_fraction_row(
-        "factorization", n_kept / plan.replicates, plan.replicates, fracs, ns,
-    ))
-    return ComparisonReport(
-        test_id="first-rk-cond", rows=rows, seed=plan.seed,
-        n_lhs=n_kept, n_rhs=ref.shape[0], z_max=plan.z_max,
-        metadata={"defect": plan.defect, "r": r,
-                  "conditioned_fraction": n_kept / plan.replicates},
-    )
+    _, _, fields, lives, ref = _conditioned(
+        plan, "first-rk-cond", cols, "zero", "zero", marginal={"stop": "zero"})
+    return _factorised(plan, "first-rk-cond", fields, np.arange(cols.size),
+                       ref, [ens["stopped"] for ens in lives])
 
 
 def run_tminus(plan: TestPlan) -> ComparisonReport:
     """Left-limit hitting on an absorbing chain: traces stopped at the first
     absorption against sums of independently conditioned lives."""
-    if plan.r < 2:
-        raise InvariantError("tminus harness needs r >= 2")
     chain = plan.chain
     if chain.zero_accessible or not np.any(chain.absorb_rate > 0):
         raise InvariantError("tminus needs an absorbing chain")
-    kernel = make_kernel(chain)
-    mu_pack = mu_tables(chain, plan.mu)
-    y = chain.state_index(plan.start)
     cols = plan.tp_cols
-    r = plan.r
-
     at = np.arange(cols.size)  # the test points' columns in a record on cols
-
-    traces = _markov(plan, "tminus", 1, kernel, ("fixed", y), stop="absorb",
-                     record="epochs", rebirth=mu_pack, r_max=r, cols=cols)
-    kept = traces["stop_epoch"] == r
-    n_kept = int(np.count_nonzero(kept))
-    if n_kept < MIN_CONDITIONED:
-        raise ConditioningTooRare(
-            f"only {n_kept} of {plan.replicates} traces absorbed at epoch {r}"
-        )
-    lhs = traces["fields_cols"][kept].sum(axis=1)[:, at]
+    _, _, fields, lives, _ = _conditioned(plan, "tminus", cols, "absorb",
+                                          "absorb", what="absorbed")
+    lhs = fields.sum(axis=1)[:, at]
 
     parts = []
     qc_violations = 0
-    for i in range(1, r + 1):
-        spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
-        ens = _markov(plan, "tminus", 10 + i, kernel, spec, stop="absorb",
-                      cols=cols)
+    for i, ens in enumerate(lives, 1):
         absorbed = ens["stopped"]
         # an absorbed life must end next to 0, where absorption has a rate
         qc_violations += int(np.count_nonzero(
             absorbed & (chain.absorb_rate[ens["state"]] == 0.0)
         ))
-        if i == r and plan.defect != "unconditioned-last":
-            keep = absorbed
-        elif i == r:
-            keep = np.ones_like(absorbed)
-        else:
-            keep = ~absorbed
+        keep = absorbed | (plan.defect == "unconditioned-last") \
+            if i == plan.r else ~absorbed
         parts.append(ens["field_cols"][keep][:, at])
     m = min(pt.shape[0] for pt in parts)
     rhs = sum(pt[:m] for pt in parts)
@@ -567,8 +574,8 @@ def run_tminus(plan: TestPlan) -> ComparisonReport:
     report = compare_fields(
         "tminus", lhs, rhs, plan.point_labels, plan.laplace_probes,
         plan.seed, z_max=plan.z_max, moment_orders=plan.moment_orders,
-        metadata={"defect": plan.defect, "r": r,
-                  "conditioned_fraction": n_kept / plan.replicates},
+        metadata={"defect": plan.defect, "r": plan.r,
+                  "conditioned_fraction": fields.shape[0] / plan.replicates},
     )
     report.rows.append(StatRow("qc_violations", float(qc_violations), 0.0,
                                0.0, zscore(float(qc_violations), 0.0)))
@@ -609,88 +616,41 @@ def run_second_rk_cond(plan: TestPlan) -> ComparisonReport:
     """Conditional factorisation at an exponential inverse-local-time level:
     marginal of the stopping epoch against independent clamped lives,
     decorrelation of transformed epochs, path identities, factorisation."""
-    if plan.r < 2:
-        raise InvariantError("conditional harness needs r >= 2")
     if plan.p <= 0:
         raise InvariantError("second-rk-cond needs p > 0")
-    chain = plan.chain
-    kernel = make_kernel(chain)
-    mu_pack = mu_tables(chain, plan.mu)
-    y = chain.state_index(plan.start)
-    zero = chain.zero_index
-    r = plan.r
+    if not plan.chain.zero_accessible:
+        raise InvariantError("second-rk-cond needs a chain that reaches 0")
     # records keep the test points and 0, whose local time the level and
     # hit checks read
-    cols = np.union1d(plan.tp_cols, [zero])
+    cols = _with_zero(plan.chain, plan.tp_cols)
     at = np.searchsorted(cols, plan.tp_cols)
-    z = int(np.searchsorted(cols, zero))
-
-    traces = _markov(plan, "second-rk-cond", 1, kernel, ("fixed", y),
-                     ("exp", plan.p), stop="right", record="epochs",
-                     rebirth=mu_pack, r_max=r, cols=cols)
-    kept = traces["stop_epoch"] == r
-    n_kept = int(np.count_nonzero(kept))
-    if n_kept < MIN_CONDITIONED:
-        raise ConditioningTooRare(
-            f"only {n_kept} of {plan.replicates} traces crossed at epoch {r}"
-        )
-    early = traces["fields_cols"][kept][:, 0, :][:, at]
-    last = traces["fields_cols"][kept][:, r - 1, :][:, at]
+    z = int(np.searchsorted(cols, plan.chain.zero_index))
+    traces, kept, fields, lives, ref = _conditioned(
+        plan, "second-rk-cond", cols, "right", "death", ("exp", plan.p),
+        what="crossed", marginal={"stop": "left", "clamp": "total"})
 
     # path identities on every conditioned trace (exact bookkeeping)
     lam = traces["levels"][kept]
-    l0_final = traces["fields_cols"][kept].sum(axis=1)[:, z]
+    l0_final = fields.sum(axis=1)[:, z]
     id_viol = int(np.count_nonzero(
         np.abs(l0_final - lam) > 1e-12 * np.maximum(1.0, lam)
     ))
-    offs = traces["t"][kept] - traces["bounds"][kept][:, r - 2]
+    offs = traces["t"][kept] - traces["bounds"][kept][:, plan.r - 2]
     tau_viol = int(np.count_nonzero(~(offs > 0.0)))
     # the stopping life crossed its level, so it held local time at 0
-    hit_viol = int(np.count_nonzero(
-        ~(traces["fields_cols"][kept, r - 1, z] > 0.0)))
+    hit_viol = int(np.count_nonzero(~(fields[:, plan.r - 1, z] > 0.0)))
 
-    marginal = _markov(plan, "second-rk-cond", 2, kernel, ("mu",) + mu_pack,
-                       ("exp", plan.p), stop="left", clamp="total", cols=cols)
-    if plan.defect == "unconditioned-marginal":
-        ref = marginal["field_cols"][:, at]
-    else:
-        ref = marginal["field_cols"][marginal["stopped"]][:, at]
-
-    rows = compare_sides(
-        side_estimates(last, plan.point_labels, plan.laplace_probes,
-                       moment_orders=plan.moment_orders),
-        side_estimates(ref, plan.point_labels, plan.laplace_probes,
-                       moment_orders=plan.moment_orders),
-    )
-    rows = [StatRow(f"marginal:{row.statistic}", row.lhs, row.rhs, row.se,
-                    row.z) for row in rows]
-    rows += covariance_zero_rows(np.exp(-early), np.exp(-last),
-                                 plan.point_labels, plan.point_labels)
-    for name, count in [("level_identity_violations", id_viol),
-                        ("tau_offset_violations", tau_viol),
-                        ("stop_epoch_hit_violations", hit_viol)]:
-        rows.append(StatRow(name, float(count), 0.0, 0.0,
-                            zscore(float(count), 0.0)))
-
-    fracs, ns = [], []
-    for i in range(1, r + 1):
-        spec = ("fixed", y) if i == 1 else ("mu",) + mu_pack
-        ens = _markov(plan, "second-rk-cond", 10 + i, kernel, spec,
-                      ("exp", plan.p), cols=cols)
-        below = ens["field_cols"][:, z] < ens["levels"]
-        frac = float(np.mean(~below)) if i == r else float(np.mean(below))
-        fracs.append(frac)
-        ns.append(below.shape[0])
-    rows.append(product_fraction_row(
-        "factorization", n_kept / plan.replicates, plan.replicates, fracs, ns,
-    ))
-    return ComparisonReport(
-        test_id="second-rk-cond", rows=rows, seed=plan.seed,
-        n_lhs=n_kept, n_rhs=ref.shape[0], z_max=plan.z_max,
-        metadata={"defect": plan.defect, "r": r, "p": plan.p,
-                  "conditioned_fraction": n_kept / plan.replicates,
-                  "level_ties": int(traces["ties"])},
-    )
+    report = _factorised(
+        plan, "second-rk-cond", fields, at, ref,
+        [ens["field_cols"][:, z] >= ens["levels"] for ens in lives])
+    # the path identities go before the factorisation row
+    report.rows[-1:-1] = [
+        StatRow(name, float(count), 0.0, 0.0, zscore(float(count), 0.0))
+        for name, count in [("level_identity_violations", id_viol),
+                            ("tau_offset_violations", tau_viol),
+                            ("stop_epoch_hit_violations", hit_viol)]]
+    report.metadata.update(p=plan.p, level_ties=int(traces["ties"]))
+    return report
 
 
 # The grid diagnostics live in :mod:`rklab.diagnostics`, which imports this

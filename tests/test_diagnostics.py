@@ -115,6 +115,13 @@ def test_grid_too_coarse_sweep():
                                        scales=(0.25, 0.125), d=8))
 
 
+def test_uniform_window_narrower_than_scale():
+    # 13 grid points in [0.3, 0.5] hold no pair 0.25 apart
+    cfg = _sweep_cfg(interval=(0.3, 0.5))
+    with pytest.raises(GridTooCoarse, match="narrower than the largest"):
+        uniform_modulus_sweep(cfg, fields=np.ones((16, cfg.chain.n_states)))
+
+
 def test_loglog_scale_ceiling():
     cfg = _sweep_cfg(scales=(0.5, 0.25))
     with pytest.raises(InvariantError):

@@ -32,6 +32,7 @@ from plans import (
     five_path_chain,
     reduction_chain,
     ref_plan,
+    reference_chain,
 )
 
 N_FAST = 30_000
@@ -175,13 +176,23 @@ def test_first_rk_cond_five_path_passes():
     assert rep.verdict, f"max |z| = {rep.max_abs_z():.2f}"
 
 
-def test_conditioning_too_rare():
-    chain = reduction_chain()
-    plan = TestPlan(chain=chain, mu=RebirthMeasure(weights={32: 1.0}),
-                    start=64, replicates=10_000, seed=918,
-                    test_points=(16, 32, 64), r=3)
-    with pytest.raises(ConditioningTooRare):
-        REGISTRY["first-rk-cond"](plan)
+# at kill rate 1e-3 a first life almost surely ends in its stop: it dies
+# before reaching 0 with probability about 1e-3 (first-rk-cond), before its
+# absorption with about 2e-3 (tminus), and under its Exp(1) level at 0 with
+# about 1 / (1 + u0(0, 0)), u0(0, 0) about 333 (second-rk-cond), so some
+# tens of 1e4 traces, never MIN_CONDITIONED, stop in their second life
+@pytest.mark.parametrize("name,chain,test_points,verb", [
+    ("first-rk-cond", reference_chain(kill_rate=1e-3), (-1, 0, 1), "stopped"),
+    ("second-rk-cond", reference_chain(kill_rate=1e-3), (-1, 0, 1),
+     "crossed"),
+    ("tminus", absorbed_path_chain(kill_rate=1e-3), (-1, 1, 2), "absorbed"),
+], ids=["first-rk-cond", "second-rk-cond", "tminus"])
+def test_conditioning_too_rare(name, chain, test_points, verb):
+    plan = ref_plan(918, 1, replicates=10_000, chain=chain,
+                    test_points=test_points, r=2)
+    with pytest.raises(ConditioningTooRare,
+                       match=f"of 10000 traces {verb} at epoch 2"):
+        REGISTRY[name](plan)
 
 
 def test_same_law_mode_repeats(ref_chain, mu_plus):
@@ -330,6 +341,25 @@ ABSORBED = dict(chain=absorbed_path_chain(), test_points=(-1, 1, 2))
 def test_conditional_reports_pinned(name, kw, digest):
     rep = REGISTRY[name](ref_plan(20260810, 1, replicates=10_000, **kw))
     assert hashlib.sha256(rep.to_json().encode()).hexdigest()[:16] == digest
+
+
+def test_second_rk_cond_needs_state_zero():
+    # its level is a local time at 0, which an absorbing chain never holds
+    plan = ref_plan(926, 1, replicates=10_000, **ABSORBED)
+    with pytest.raises(InvariantError, match="reaches 0"):
+        REGISTRY["second-rk-cond"](plan)
+
+
+def test_exact_mean_does_not_depend_on_the_block():
+    # a spread mu on a grid: one more test point enlarges the block K the
+    # kernel is solved on, and leaves the other exact:mean rows bit for bit
+    base = dict(chain=birth_death_chain(32, 16.0), start=16, r=2,
+                mu=RebirthMeasure(weights={4: 0.2, 19: 0.3, 29: 0.5}),
+                replicates=10_000, seed=925)
+    rows = [_exact_rows(REGISTRY["first-rk"](TestPlan(test_points=tp,
+                                                      **base)))
+            for tp in [(12, 18, 22), (12, 18, 22, 1)]]
+    assert [row.lhs for row in rows[0]] == [row.lhs for row in rows[1][:3]]
 
 
 def _first_rk_parts(plan):
