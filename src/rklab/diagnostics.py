@@ -344,9 +344,11 @@ def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
     is only exact in the vanishing-neighbourhood limit and is reported
     without gating.
     """
+    chain = plan.chain
+    if not chain.zero_accessible:
+        raise InvariantError("reduction test needs a chain that reaches 0")
     if plan.r < 2:
         raise InvariantError("reduction test needs r >= 2")
-    chain = plan.chain
     if chain.coords is None:
         raise InvariantError("reduction test needs a grid chain")
     deltas = tuple(deltas)

@@ -4,14 +4,13 @@ The harnesses read a Gaussian field only on a small readout set S of states
 (the test points, the start state and the support of the rebirth measure),
 and the marginal of a centred Gaussian vector on S is exactly N(0, C[S, S]).
 So a covariance table is checked for positive semi-definiteness on the
-whole table passed in, then factored on the block C[S, S] only (pivoted
-Cholesky, so rank-deficient kernels like the killed-at-zero one keep an
-exact zero at state 0), and fields are drawn |S| wide.  With S every state,
-the default, this is the full field.  The harnesses pass chain kernels
-already cut to S and state 0; positive definiteness on every such block is
-certified by :func:`rklab.chains.potential_matrix` from the chain's
-precision.  The composite sampler
-builds the Gaussian side of the Eisenbaum, hitting-time and
+whole table passed in, then factored on the block C[S, S] only, and fields
+are drawn |S| wide (with S every state, the default, the full field).  The
+harnesses pass chain kernels already cut to S and state 0, whose blocks
+:func:`rklab.chains.potential_matrix` certifies positive definite from the
+chain's precision but for the killed-at-zero kernel's zero row at state 0:
+that row stays exactly zero, and LAPACK's Cholesky factors the rest.  The
+composite sampler builds the Gaussian side of the Eisenbaum, hitting-time and
 inverse-local-time identities on whatever columns the factor carries:
 
 * a sum of squared shifted fields, one per life, with a signed tilt weight
@@ -32,54 +31,28 @@ from .chains import PotentialMatrix
 from .errors import NotPSD, ZeroShift
 
 RECONSTRUCT_ATOL = 1e-8
-PIVOT_RTOL = 1e-10  # pivots below this times the block trace count as 0
 
 
 @dataclass(frozen=True)
 class FieldFactor:
-    """Low-rank root of a covariance block.
+    """Cholesky root of a covariance block, with its zero rows kept.
 
     ``keep`` lists the states the root's rows stand for, in order, as
     indices of the table factored (the harnesses re-label them with chain
-    indices); root @ root.T reproduces table[keep][:, keep].
+    indices); root @ root.T reproduces table[keep][:, keep].  A state of
+    zero variance has a zero row; every other state has a column.
     """
 
     root: np.ndarray
-    rank: int
     keep: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.root.shape[0]
 
-
-def _pivoted_cholesky(C: np.ndarray, tol: float):
-    """Diagonal-pivoted Cholesky; stops when pivots fall below ``tol``.
-
-    Returns the root in original row order with zero columns dropped.
-    """
-    A = C.copy()
-    n = A.shape[0]
-    piv = np.arange(n)
-    rank = n
-    for i in range(n):
-        d = np.diag(A)[i:]
-        j = int(np.argmax(d)) + i
-        if A[j, j] <= tol:
-            rank = i
-            break
-        if j != i:
-            A[:, [i, j]] = A[:, [j, i]]
-            A[[i, j], :] = A[[j, i], :]
-            piv[[i, j]] = piv[[j, i]]
-        A[i, i] = np.sqrt(A[i, i])
-        if i + 1 < n:
-            A[i + 1:, i] /= A[i, i]
-            A[i + 1:, i + 1:] -= np.outer(A[i + 1:, i], A[i + 1:, i])
-    L = np.tril(A)[:, :rank]
-    inv = np.empty(n, dtype=int)
-    inv[piv] = np.arange(n)
-    return L[inv, :], rank
+    @property
+    def rank(self) -> int:
+        return self.root.shape[1]
 
 
 def factor_covariance(cov: PotentialMatrix, keep=None) -> FieldFactor:
@@ -90,9 +63,11 @@ def factor_covariance(cov: PotentialMatrix, keep=None) -> FieldFactor:
     is; a chain kernel cut to a block is certified by its precision.  Only
     the block on ``keep`` (table indices, sorted; ``None`` means every state)
     is factored, and fields drawn from the root are the exact marginal of
-    the full field on those states.  Directions whose pivot falls below
-    ``PIVOT_RTOL`` times the block's trace are zeroed and the rank recorded.
-    The root must reproduce the block to ``RECONSTRUCT_ATOL``.
+    the full field on those states.  A state whose variance is exactly 0
+    keeps a zero row; the block on the other states goes to
+    ``np.linalg.cholesky``, and a block it cannot factor raises
+    :class:`NotPSD`.  The root must reproduce the block to
+    ``RECONSTRUCT_ATOL``.
     """
     C = 0.5 * (cov.table + cov.table.T)
     trace = float(np.trace(C))
@@ -102,12 +77,16 @@ def factor_covariance(cov: PotentialMatrix, keep=None) -> FieldFactor:
     keep = np.arange(C.shape[0]) if keep is None \
         else np.asarray(keep, dtype=np.int64)
     B = C[np.ix_(keep, keep)]
-    tol = PIVOT_RTOL * max(float(np.trace(B)), 1.0)
-    root, rank = _pivoted_cholesky(B, tol)
+    live = np.flatnonzero(np.diag(B) != 0.0)
+    root = np.zeros((keep.size, live.size))
+    try:
+        root[live] = np.linalg.cholesky(B[np.ix_(live, live)])
+    except np.linalg.LinAlgError as exc:
+        raise NotPSD(f"block on {live.size} states: {exc}") from None
     err = np.abs(root @ root.T - B).max()
     if err > RECONSTRUCT_ATOL:
         raise NotPSD(f"factor reconstruction error {err:.3e}")
-    return FieldFactor(root=root, rank=rank, keep=keep)
+    return FieldFactor(root=root, keep=keep)
 
 
 def sample_block(factor: FieldFactor, size: int, rng) -> np.ndarray:

@@ -538,6 +538,8 @@ def run_first_rk_cond(plan: TestPlan) -> ComparisonReport:
     """Conditional factorisation at the hitting time: the stopping epoch's
     field matches an independently conditioned life, transformed early and
     late epochs are uncorrelated, and the stop-epoch probability factorises."""
+    if not plan.chain.zero_accessible:
+        raise InvariantError("first-rk-cond needs a chain that reaches 0")
     cols = plan.tp_cols
     _, _, fields, lives, ref = _conditioned(
         plan, "first-rk-cond", cols, "zero", "zero", marginal={"stop": "zero"})

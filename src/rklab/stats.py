@@ -147,7 +147,8 @@ def side_estimates(values: np.ndarray, point_labels, probes,
     """(label, estimate, se) for every statistic of one ensemble.
 
     ``values`` is replicates x test points.  Probes are nonnegative
-    coefficient vectors over the test points.
+    coefficient vectors over the test points; their products are taken on
+    ``values`` in Fortran order, so no estimate depends on its memory layout.
     """
     K = values.shape[1]
     out = []
@@ -161,7 +162,7 @@ def side_estimates(values: np.ndarray, point_labels, probes,
                 est, se = _mean_se(values[:, i] * values[:, j], weights)
                 out.append((f"m2[{point_labels[i]},{point_labels[j]}]", est, se))
     for pi, nu in enumerate(probes):
-        f = np.exp(-(values @ np.asarray(nu, dtype=float)))
+        f = np.exp(-(np.asfortranarray(values) @ np.asarray(nu, dtype=float)))
         est, se = _mean_se(f, weights)
         out.append((f"laplace[{pi}]", est, se))
     return out
@@ -181,8 +182,7 @@ def compare_sides(lhs_stats, rhs_stats) -> list:
 
 def compare_fields(test_id, lhs_values, rhs_values, point_labels, probes,
                    seed, rhs_weights=None, z_max=Z_MAX_DEFAULT,
-                   moment_orders=(1, 2), metadata=None,
-                   ess_floor=ESS_FLOOR) -> ComparisonReport:
+                   moment_orders=(1, 2), metadata=None) -> ComparisonReport:
     """Full two-sample comparison of field ensembles at the test points."""
     lhs_stats = side_estimates(lhs_values, point_labels, probes,
                                moment_orders=moment_orders)
@@ -195,9 +195,9 @@ def compare_fields(test_id, lhs_values, rhs_values, point_labels, probes,
         diag = weight_diagnostics(rhs_weights)
         ess_val = diag["ess"]
         meta.update(diag)
-        if ess_val < ess_floor:
+        if ess_val < ESS_FLOOR:
             raise DegenerateESS(
-                f"effective sample size {ess_val:.1f} below {ess_floor}"
+                f"effective sample size {ess_val:.1f} below {ESS_FLOOR}"
             )
     return ComparisonReport(
         test_id=test_id, rows=rows, seed=seed,
@@ -206,19 +206,19 @@ def compare_fields(test_id, lhs_values, rhs_values, point_labels, probes,
     )
 
 
-def rows_vs_exact(values: np.ndarray, exact, labels, prefix="") -> list:
+def rows_vs_exact(values: np.ndarray, exact, labels) -> list:
     """One-sample rows against exact reference constants (se of rhs = 0)."""
     rows = []
     for k, label in enumerate(labels):
         est, se = _mean_se(values[:, k], None)
         target = float(exact[k])
-        rows.append(StatRow(statistic=f"{prefix}{label}", lhs=est, rhs=target,
-                            se=se, z=gated_z(est, target, se)))
+        rows.append(StatRow(statistic=label, lhs=est, rhs=target, se=se,
+                            z=gated_z(est, target, se)))
     return rows
 
 
-def covariance_zero_rows(g1: np.ndarray, g2: np.ndarray, labels1, labels2,
-                         prefix="condind") -> list:
+def covariance_zero_rows(g1: np.ndarray, g2: np.ndarray, labels1,
+                         labels2) -> list:
     """Rows asserting cov(g1[:,i], g2[:,j]) = 0 with influence-function SEs."""
     n = g1.shape[0]
     rows = []
@@ -229,7 +229,7 @@ def covariance_zero_rows(g1: np.ndarray, g2: np.ndarray, labels1, labels2,
             cov = float(np.mean(a * b))
             se = float(np.std(a * b - cov, ddof=1) / np.sqrt(n))
             rows.append(StatRow(
-                statistic=f"{prefix}[{labels1[i]};{labels2[j]}]",
+                statistic=f"condind[{labels1[i]};{labels2[j]}]",
                 lhs=cov, rhs=0.0, se=se, z=zscore(cov, se),
             ))
     return rows

@@ -12,12 +12,11 @@ from rklab.chains import (
     birth_death_chain,
     hitting_profile,
     killed_at_zero_potential,
+    path_chain,
     potential_matrix,
 )
 from rklab.errors import NotPSD, ZeroShift
 from rklab.gaussfield import (
-    PIVOT_RTOL,
-    _pivoted_cholesky,
     composite_block,
     factor_covariance,
     sample_block,
@@ -32,6 +31,16 @@ def _pot(table, states=None):
     return PotentialMatrix(kind=Kind.U_P, order=0.0, table=table,
                            zero_state=0, states=states,
                            index={x: i for i, x in enumerate(states)})
+
+
+def _zero_row_cholesky(table, keep):
+    """LAPACK's Cholesky of the symmetrised block on ``keep``, taken on the
+    rows of nonzero variance, with the zero rows put back."""
+    B = (0.5 * (table + table.T))[np.ix_(keep, keep)]
+    live = np.flatnonzero(np.diag(B) != 0.0)
+    root = np.zeros((keep.size, live.size))
+    root[live] = np.linalg.cholesky(B[np.ix_(live, live)])
+    return root
 
 
 def test_identity_factor():
@@ -201,10 +210,8 @@ def test_readout_all_states_matches_full_factor(ref_chain):
     u0 = potential_matrix(birth_death_chain(16, 16.0), 0.0)
     for table in (u0, killed_at_zero_potential(u0),
                   killed_at_zero_potential(potential_matrix(ref_chain, 0.0))):
-        C = 0.5 * (table.table + table.table.T)
-        full, _ = _pivoted_cholesky(C, PIVOT_RTOL * max(float(np.trace(C)),
-                                                        1.0))
-        everywhere = np.arange(C.shape[0])
+        everywhere = np.arange(table.table.shape[0])
+        full = _zero_row_cholesky(table.table, everywhere)
         for keep in (None, everywhere):
             f = factor_covariance(table, keep=keep)
             assert np.array_equal(f.root, full)
@@ -254,6 +261,23 @@ def test_readout_factor_property(case):
         block = table.table[np.ix_(keep, keep)]
         scale = max(1.0, float(np.abs(block).max()))
         assert np.abs(f.root @ f.root.T - block).max() <= 1e-9 * scale
+        assert np.array_equal(f.root, _zero_row_cholesky(table.table, keep))
         if table is not u0 and z in keep:
             assert np.all(f.root[keep.tolist().index(z)] == 0.0)
             assert f.rank == keep.size - 1
+
+
+def test_stiff_chain_keeps_its_variance():
+    # at rate 1e11 the killed field has variance 1e-11 at -1 and +1: small,
+    # but positive definite, so no direction of either field is dropped
+    chain = path_chain((-1, 0, 1), rate=1e11, coords=(-1.0, 0.0, 1.0))
+    u0 = potential_matrix(chain, 0.0)
+    ut = killed_at_zero_potential(u0)
+    ends = np.array([chain.state_index(-1), chain.state_index(1)])
+    assert 0.0 < ut.table[ends[0], ends[0]] < 1e-10
+    killed = factor_covariance(ut, keep=ends)
+    assert killed.rank == 2
+    assert factor_covariance(u0).rank == 3
+    samples = sample_block(killed, 20_000, np.random.default_rng(11))
+    var = samples.var(axis=0) / ut.table[ends, ends]
+    assert np.all(np.abs(var - 1.0) < 0.05)

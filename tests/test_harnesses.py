@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rklab.diagnostics as diagnostics
 import rklab.harnesses as harnesses
 from rklab.chains import (
     ChainSpec,
@@ -311,13 +312,13 @@ def _sampled_digest(rep):
 # replicates.  They fix the random streams and the draw order of the Markov
 # legs and the composites; a refactor that keeps both reproduces them.
 @pytest.mark.parametrize("name,kw,digest", [
-    ("eisenbaum", {"s": 1.0}, "430c3cf879e1f543"),
-    ("eisenbaum", {"s": 10.0}, "18492411fc0b20db"),
+    ("eisenbaum", {"s": 1.0}, "701afed883ec87e8"),
+    ("eisenbaum", {"s": 10.0}, "4bd0994ed02e6c91"),
     ("first-rk", {"r": 1}, "c6e3e919b9156dd6"),
-    ("first-rk", {"r": 2}, "9c7536ed3022bee8"),
-    ("first-rk", {"r": 3}, "24c88413f7ad69b0"),
+    ("first-rk", {"r": 2}, "a44009992f141053"),
+    ("first-rk", {"r": 3}, "6ad5edfb664dce43"),
     ("second-rk", {"r": 1}, "09a1f1a160b0bed8"),
-    ("second-rk", {"r": 2}, "063955eea735412c"),
+    ("second-rk", {"r": 2}, "dc3c659addfa8dfb"),
 ])
 def test_tilted_rows_pinned(name, kw, digest):
     rep = REGISTRY[name](ref_plan(20260810, 1, replicates=10_000, **kw))
@@ -343,11 +344,17 @@ def test_conditional_reports_pinned(name, kw, digest):
     assert hashlib.sha256(rep.to_json().encode()).hexdigest()[:16] == digest
 
 
-def test_second_rk_cond_needs_state_zero():
-    # its level is a local time at 0, which an absorbing chain never holds
-    plan = ref_plan(926, 1, replicates=10_000, **ABSORBED)
-    with pytest.raises(InvariantError, match="reaches 0"):
-        REGISTRY["second-rk-cond"](plan)
+def test_second_rk_cond_needs_state_zero(monkeypatch):
+    # the levels of second-rk-cond, and the stops of first-rk-cond and
+    # reduction, read 0, which an absorbing chain never reaches; each plan
+    # is refused before any simulation
+    for module in (harnesses, diagnostics):
+        monkeypatch.setattr(module, "simulate", None)
+    plan = ref_plan(926, 1, replicates=10_000, r=2, scales=(1.0,),
+                    **ABSORBED)
+    for name in ("first-rk-cond", "second-rk-cond", "reduction"):
+        with pytest.raises(InvariantError, match="needs a chain that reaches 0"):
+            REGISTRY[name](plan)
 
 
 def test_exact_mean_does_not_depend_on_the_block():

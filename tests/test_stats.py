@@ -17,6 +17,7 @@ from rklab.stats import (
     default_probes,
     ess,
     product_fraction_row,
+    side_estimates,
     weight_diagnostics,
     zscore,
 )
@@ -31,6 +32,16 @@ def test_identical_samples_zero_z(rng):
     assert rep.verdict
     assert all(r.z == 0.0 for r in rep.rows)
     assert rep.ess == pytest.approx(x.shape[0])
+
+
+def test_side_estimates_ignore_memory_layout():
+    # the Laplace products once rounded by layout: laplace[2] of these C-
+    # and F-ordered copies differed in its last bit
+    values = np.random.default_rng(2).exponential(size=(200_000, 3))
+    labels, probes = ["a", "b", "c"], default_probes(3)
+    c_side = side_estimates(np.ascontiguousarray(values), labels, probes)
+    f_side = side_estimates(np.asfortranarray(values), labels, probes)
+    assert c_side == f_side
 
 
 def test_same_law_passes(rng):
