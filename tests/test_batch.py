@@ -499,6 +499,16 @@ def _stream_shapes():
         ("right-epochs-cols", ref, mixed,
          dict(stop="right", record="epochs", levels=levels, rebirth=rb,
               r_max=2, cols=[1, 0])),
+        # the right-hand lives of the reduction identity
+        ("zero-total-grid-cols", grid, np.arange(n, dtype=np.int64) % 16 + 1,
+         dict(stop="zero", cols=[1, 2, 3, 4])),
+        ("absorb-total-rebirth", absorbed, np.arange(n, dtype=np.int64) % 4,
+         dict(stop="absorb", rebirth=rb_abs, r_max=3)),
+        ("death-total-rebirth-min", ref, mixed,
+         dict(rebirth=rb, r_max=3, track_min=True)),
+        ("right-strict", ref, mixed, dict(stop="right", levels=levels)),
+        ("horizon-total-plain", ref, mixed, dict(stop="horizon",
+                                                 horizon=2.0)),
     ]
 
 
@@ -666,6 +676,43 @@ _STREAM_DIGESTS = {
         "stop_epoch": "7b8e4e06586172f7",
         "l0": "2904e5b6364dd5fa",
         "ties": "ba553f9413e2fef9",
+    },
+    "zero-total-grid-cols": {
+        "t": "1cdfa64b4fb2f918",
+        "stopped": "9c8216b2fd90feb8",
+        "state": "811909560acd209e",
+        "field_cols": "75b06fe876908b0b",
+    },
+    "absorb-total-rebirth": {
+        "t": "47d20502369f31d4",
+        "stopped": "9c9ab0c1d902a49f",
+        "state": "d1afa41472f2f40c",
+        "field": "c7df79530a7c076d",
+        "epochs": "5ab8a6dae39186ed",
+        "stop_epoch": "3d04271b740d3504",
+    },
+    "death-total-rebirth-min": {
+        "t": "5fa27b90b8fb2c18",
+        "stopped": "f3c6635d8c166cdc",
+        "state": "59afd1c62b655f8c",
+        "field": "d24d684e5b5b8512",
+        "epochs": "57122712c8ec06c8",
+        "stop_epoch": "e4249264cfe8930d",
+        "min_index": "ffa516e8324096de",
+    },
+    "right-strict": {
+        "t": "fd1476e0b74e7f89",
+        "stopped": "d0a123df14198912",
+        "state": "cc4161dd0162e4a8",
+        "field": "cb80104acf9334ca",
+        "l0": "c1cec6076a93fbe4",
+        "ties": "ba553f9413e2fef9",
+    },
+    "horizon-total-plain": {
+        "t": "06523b2db24f8aec",
+        "stopped": "7cbe0b5a01606b34",
+        "state": "a611fc158964b402",
+        "field": "4a45160c1af59932",
     },
 }
 

@@ -26,7 +26,7 @@ from rklab.chains import (
 )
 from rklab.errors import ConditioningTooRare, DegenerateESS, InvariantError
 from rklab.gaussfield import factor_covariance
-from rklab.harnesses import REGISTRY, TestPlan
+from rklab.harnesses import REGISTRY, SweepConfig, TestPlan
 from rklab.stats import compare_fields, strict_json
 from plans import (
     absorbed_path_chain,
@@ -342,6 +342,37 @@ ABSORBED = dict(chain=absorbed_path_chain(), test_points=(-1, 1, 2))
 def test_conditional_reports_pinned(name, kw, digest):
     rep = REGISTRY[name](ref_plan(20260810, 1, replicates=10_000, **kw))
     assert hashlib.sha256(rep.to_json().encode()).hexdigest()[:16] == digest
+
+
+def _reduction_plan():
+    # rebirth nearer 0 than the shipped config, so that enough of 1e4
+    # traces are kept
+    return TestPlan(chain=reduction_chain(),
+                    mu=RebirthMeasure(weights={16: 1.0}), start=64,
+                    replicates=10_000, seed=20260810, test_points=(16, 32, 64),
+                    r=2, scales=(0.5, 0.25, 0.125))
+
+
+def _lil_config():
+    return SweepConfig(chain=birth_death_chain(256, 1024.0),
+                       mu=RebirthMeasure(weights={16: 1.0}), start=32,
+                       replicates=64, seed=20260810,
+                       scales=(0.25, 0.125, 0.0625), stop_kind="zero")
+
+
+# sha256 prefixes of the whole report JSON of the clocked discount record,
+# of the reduction identity and of one sweep (the JSON `rklab run` writes)
+@pytest.mark.parametrize("name,plan,digest", [
+    ("normalization", lambda: ref_plan(20260810, 1, replicates=10_000),
+     "a86e9531a46507e0"),
+    ("reduction", _reduction_plan, "a821bcfbf65f406d"),
+    ("lil", _lil_config, "15ad091d246df47c"),
+], ids=["normalization", "reduction", "lil"])
+def test_reports_pinned(name, plan, digest):
+    rep = REGISTRY[name](plan())
+    text = rep.to_json() if hasattr(rep, "to_json") \
+        else strict_json(rep.to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_second_rk_cond_needs_state_zero(monkeypatch):
