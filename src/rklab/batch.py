@@ -11,10 +11,10 @@ counts.
 
 Stop policies (``stop``); a lane that stops has ``stopped`` set:
 
-* ``death``   the lane runs until it dies (without rebirth; with rebirth
-  only ``r_max`` ends it);
-* ``zero``    the lane stops the instant it jumps into 0, with no
-  occupation there;
+* ``death``   the lane runs until it dies (with rebirth, ``r_max`` is
+  required: only it ends the lane);
+* ``zero``    the lane stops the instant it jumps into 0 (which must be in
+  the space), with no occupation there;
 * ``absorb``  the lane stops at its first absorption death (a jump into 0
   from outside the space); other deaths rebirth or end the lane;
 * ``left``    the lane stops when its zero local time reaches its level
@@ -64,11 +64,11 @@ E[V | path] = int_0^inf exp(-p s) dL_s, whose mean is the p-potential
 u_p(x, y) = E_x[L^y at an independent Exp(p) time] (Marcus & Rosen 2006),
 with no truncation, and E[rowsum] = 1/p for a lane that never ends.
 
-Every run returns ``t`` (the elapsed time when the lane ended), ``stopped``
-and ``state`` (the state it ended in); runs with a rebirth table and
-``r_max`` also return ``epochs`` (lives used) and ``stop_epoch``; level
-stops return ``l0``, right stops ``ties``, ``track_min`` runs
-``min_index``.
+Every run returns ``t`` (the elapsed time when the lane ended), ``stopped``,
+``state`` (the state it ended in), ``rounds`` and ``lane_rounds`` (one hold
+per live lane per round); runs with a rebirth table and ``r_max`` also
+return ``epochs`` (lives used) and ``stop_epoch``; level stops return
+``l0``, right stops ``ties``, ``track_min`` runs ``min_index``.
 
 Each round, for the lanes alive at its start:
 
@@ -83,12 +83,18 @@ Each round, for the lanes alive at its start:
 
 Only steps 1, 4 and 5 draw.  Reports at a fixed seed depend on this order.
 
-The work of a round is over the ascending index of the live lanes, carried
-from round to round (``idx = idx[alive[idx]]``), never over all N.  An
-outcome is picked from flat tables (:class:`Kernel`): one comparison per
-threshold column, then one gather from the flattened targets.  Each record
-is scattered into through one flat index (lane, life, column), with the
-column of a state from one ``col_of`` table.  Every output is
+The work of a round is over the live lanes only, never over all N.  Their
+state, elapsed time, record offset and, where used, life, lowest state,
+level, zero local time, end time and discounted total are packed in
+contiguous arrays, in ascending lane order.  These are compacted only in a
+round in which a lane leaves, and a lane's values are written back to the
+full-size outputs only when it stops, is abandoned or dies without rebirth.
+An outcome is picked from flat tables (:class:`Kernel`): one comparison per
+threshold column gives its flat index, at which one gather reads the
+target and one a per-call event table.  Only the lanes whose outcome is a
+death or the stop need more work; every other lane takes the target as its
+state.  Each record is scattered into at the lane's record offset plus the
+column of its state (one ``col_of`` table).  Every output is
 bit-identical to the plain 2-D reading of this draw order;
 ``tests/test_batch.py`` pins the digests of the outputs, so an engine
 change that moves a draw or a rounding fails there.
@@ -187,7 +193,7 @@ def mu_tables(chain: SymmetricChain, mu: RebirthMeasure):
 
 
 def _outcome(kernel: Kernel, states, u):
-    """Outcome per lane from one uniform: jump target, KILL or ABSORB.
+    """Flat index in ``next_flat`` of each lane's outcome, from one uniform.
 
     The outcome index is the number of thresholds of the lane's row at or
     below u, added column by column onto the row's offset in ``next_flat``.
@@ -195,7 +201,7 @@ def _outcome(kernel: Kernel, states, u):
     pos = states * kernel.out_cum.shape[1]
     for col in kernel.cum_cols:
         pos += u >= col[states]
-    return kernel.next_flat[pos]
+    return pos
 
 
 def _draw_mu(mu_idx, mu_cum, u):
@@ -267,6 +273,10 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     if record == "discount" and (p is None or cols is None or level_stop):
         raise ValueError("the discount record needs p and cols, and no "
                          "level stop")
+    if (level_stop or stop == "zero") and kernel.zero is None:
+        raise ValueError(f"stop {stop!r} needs the zero state in the space")
+    if stop == "death" and rebirth is not None and r_max is None:
+        raise ValueError("stop 'death' with rebirth needs r_max")
     st = np.array(starts, dtype=np.int64)
     N = st.shape[0]
     n = kernel.n
@@ -284,19 +294,24 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
             or (cols.size and (cols.min() < 0 or cols.max() >= n)):
         raise ValueError(f"cols must be distinct states in [0, {n}), got "
                          f"{cols.tolist()}")
-    alive = np.ones(N, dtype=bool)
     stopped = np.zeros(N, dtype=bool)
     t = np.zeros(N)
     # the record has one column per tracked state and, if some state is
     # untracked, a spare last column for them, dropped at return; it is
-    # scattered into through a flat view, at (row, col_of[state]) with one
-    # row per lane, or per (lane, life) under ``epochs``
+    # scattered into through a flat view, at a lane's record offset ``at``
+    # (lane * stride, plus width per earlier life) plus col_of[state]
     k = cols.size
     width = k + (k < n)
     col_of = np.full(n, width - 1, dtype=np.int64)
     col_of[cols] = np.arange(k)
+    # the live lanes' state, packed in ascending lane order; each entry of
+    # ``full`` is the output its lane's value is written back to
+    stride = width * r_max if per_epoch else width
+    live = {"s": st.copy(), "t": np.zeros(N), "at": np.arange(N) * stride}
+    full = {"s": st, "t": t}
     if counted:
         ep = np.ones(N, dtype=np.int64)
+        live["ep"], full["ep"] = ep.copy(), ep
     if per_epoch:
         rec = np.zeros((N, r_max, width))
         bounds = np.full((N, r_max), np.nan)
@@ -306,127 +321,132 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
     rec_flat = rec.reshape(-1)
     if record == "discount":
         rowsum = np.zeros(N)
+        live["rs"], full["rs"] = rowsum.copy(), rowsum
         tail = np.exp(-p * horizon)
     if stop == "horizon":
-        ends = np.full(N, float(horizon))
-        if levels is not None:
-            ends += levels
-    snap = low = None
+        live["end"] = np.full(N, float(horizon)) + (0.0 if levels is None
+                                                    else levels)
+    snap = None
     if level_stop:
-        if zero is None:
-            raise ValueError("level stop needs the zero state in the space")
         m0 = m[zero]
-        levels = np.broadcast_to(np.asarray(levels, dtype=float), (N,)).copy()
+        live["lv"] = np.broadcast_to(levels, (N,)).astype(float)
         l0 = np.zeros(N)
+        live["l0"], full["l0"] = l0.copy(), l0
         ties = 0
         if record == "total" and rebirth is None and clamp == "strict":
             # the record at the end of the last visit to 0
             snap = np.zeros((N, width))
     if track_min:
         low = np.full((N, r_max), -1, dtype=np.int64)
-        low[:, 0] = st
         low_flat = low.reshape(-1)
+        live["low"] = st.copy()
+    # the outcomes that need more than a jump: deaths, and the target that
+    # stops the lane (a jump into 0, or an absorption; no target is n)
+    halt_at = {"zero": zero, "absorb": ABSORB}.get(stop, n)
+    event = (kernel.next_flat < 0) | (kernel.next_flat == halt_at)
 
-    idx = np.arange(N)  # the live lanes, ascending
-    while idx.size:
-        n_round = idx.size
-        s = st[idx]
+    def save_low(i):  # the lowest state of the current life of lanes i
+        low_flat[live["at"][i] // stride * r_max + live["ep"][i] - 1] = \
+            live["low"][i]
+
+    def leave(gone):
+        """Write back and drop the live lanes at ``gone``; return the rest."""
+        ids = live["at"][gone] // stride
+        for key, value in full.items():
+            value[ids] = live[key][gone]
+        if track_min:
+            save_low(gone)
+        keep = np.ones(live["s"].size, dtype=bool)
+        keep[gone] = False
+        for key, value in live.items():
+            live[key] = value[keep]
+        return keep
+
+    rounds = lane_rounds = 0
+    while live["s"].size:
+        s, tt, at = live["s"], live["t"], live["at"]
+        n_round = s.size
+        rounds += 1
+        lane_rounds += n_round
         d = rng.standard_exponential(n_round) / kernel.total_rate[s]
         keep = None
         if level_stop:
+            lv, held = live["lv"], live["l0"]
             at0 = s == zero
-            after = l0[idx] + np.where(at0, d / m0, 0.0)
+            after = held + np.where(at0, d / m0, 0.0)
             if stop == "left":
-                crossing = at0 & (after >= levels[idx])
+                crossing = at0 & (after >= lv)
             else:
-                crossing = at0 & (after > levels[idx])
-                ties += int(np.count_nonzero(at0 & (after == levels[idx])))
-            ci = idx[crossing]
-            if ci.size:
-                t[ci] += (levels[ci] - l0[ci]) * m0
-                row = ci * r_max + ep[ci] - 1 if per_epoch else ci
-                at = row * width + col_of[zero]
+                crossing = at0 & (after > lv)
+                ties += int(np.count_nonzero(at0 & (after == lv)))
+            c = crossing.nonzero()[0]
+            if c.size:
+                tt[c] += (lv[c] - held[c]) * m0
                 if per_epoch:
-                    rec_flat[at] += levels[ci] - l0[ci]
+                    rec_flat[at[c] + col_of[zero]] += lv[c] - held[c]
                 else:
-                    rec_flat[at] = levels[ci]  # exact
-                l0[ci] = levels[ci]
-                stopped[ci] = True
-                alive[ci] = False
-                keep = ~crossing
-                idx, s, d, after = idx[keep], s[keep], d[keep], after[keep]
-            l0[idx] = after
+                    rec_flat[at[c] + col_of[zero]] = lv[c]  # exact
+                held[c] = lv[c]
+                stopped[at[c] // stride] = True
+                keep = leave(c)
+                s, tt, at = live["s"], live["t"], live["at"]
+                d, after, at0 = d[keep], after[keep], at0[keep]
+            live["l0"] = after
         # np.add.at is the unbuffered scatter-add; the lanes of a round are
         # distinct, so it adds exactly what a fancy-indexed += would
         if record == "discount":
-            a = t[idx]
-            b = np.minimum(d, np.maximum(horizon - a, 0.0))  # part before H0
-            w = (np.exp(-p * a) * -np.expm1(-p * b)
+            b = np.minimum(d, np.maximum(horizon - tt, 0.0))  # part before H0
+            w = (np.exp(-p * tt) * -np.expm1(-p * b)
                  + tail * -np.expm1(-p * (d - b))) / p
-            np.add.at(rowsum, idx, w)
+            live["rs"] += w
         else:
             w = d
-        row = idx * r_max + ep[idx] - 1 if per_epoch else idx
-        np.add.at(rec_flat, row * width + col_of[s], w / m[s])
-        np.add.at(t, idx, d)
+        np.add.at(rec_flat, at + col_of[s], w / m[s])
+        tt += d
         u = rng.random(n_round)  # one per lane alive at the start of the round
-        nxt = _outcome(kernel, s, u if keep is None else u[keep])
+        pos = _outcome(kernel, s, u if keep is None else u[keep])
+        nxt = kernel.next_flat[pos]
+        if snap is not None:  # a lane at 0 leaves it, by a jump or a death
+            z = at[at0] // stride
+            snap[z] = rec[z]
 
-        dead = nxt < 0
-        di = idx[dead]
-        ji, tg = idx, nxt
-        if di.size:
+        e = event[pos].nonzero()[0]
+        if e.size:
+            tg = nxt[e]
             if per_epoch:
-                bounds_flat[di * r_max + ep[di] - 1] = t[di]
-            if snap is not None:
-                at0_dead = di[s[dead] == zero]
-                snap[at0_dead] = rec[at0_dead]
-            if stop == "absorb":
-                absorbed = nxt[dead] == ABSORB
-                stopped[di[absorbed]] = True
-                alive[di[absorbed]] = False
-                di = di[~absorbed]
+                dead = e[tg < 0]
+                bounds_flat[at[dead] // width] = tt[dead]
+            ends = tg == halt_at
+            stopped[at[e[ends]] // stride] = True
             if rebirth is None:
-                alive[di] = False
+                gone = e
             else:
-                if counted:
-                    over = ep[di] >= r_max
-                    alive[di[over]] = False  # abandoned: stop_epoch 0
-                    di = di[~over]
+                if counted:  # a lane whose r_max-th life died is abandoned
+                    ends |= live["ep"][e] >= r_max
+                gone, di = e[ends], e[~ends]
                 if di.size:
-                    st[di] = _draw_mu(rebirth[0], rebirth[1],
-                                      rng.random(di.size))
-                    if counted:
-                        ep[di] += 1
+                    nxt[di] = _draw_mu(rebirth[0], rebirth[1],
+                                       rng.random(di.size))
                     if track_min:
-                        low_flat[di * r_max + ep[di] - 1] = st[di]
-            jumped = ~dead
-            ji, tg = idx[jumped], nxt[jumped]
-
-        if snap is not None:
-            leaving = idx[(s == zero) & (nxt >= 0)]
-            snap[leaving] = rec[leaving]
-        if stop == "zero" and zero is not None:
-            entering = tg == zero
-            ei = ji[entering]
-            if ei.size:
-                stopped[ei] = True
-                alive[ei] = False
-                ji, tg = ji[~entering], tg[~entering]
-        st[ji] = tg
+                        save_low(di)
+                        live["low"][di] = nxt[di]
+                    if counted:
+                        live["ep"][di] += 1
+                    if per_epoch:
+                        at[di] += width
+            if gone.size:
+                nxt = nxt[leave(gone)]  # a lane that leaves keeps its state
+        live["s"] = nxt
         if track_min:
-            # one (lane, life) pair per jump in a round: gather, min, scatter
-            at = ji * r_max + ep[ji] - 1
-            low_flat[at] = np.minimum(low_flat[at], tg)
-
+            np.minimum(live["low"], nxt, out=live["low"])
         if stop == "horizon":
-            done = idx[t[idx] >= ends[idx]]
-            done = done[alive[done]]
-            stopped[done] = True
-            alive[done] = False
-        idx = idx[alive[idx]]
+            done = (live["t"] >= live["end"]).nonzero()[0]
+            if done.size:
+                stopped[live["at"][done] // stride] = True
+                leave(done)
 
-    out = {"t": t, "stopped": stopped, "state": st}
+    out = {"t": t, "stopped": stopped, "state": st, "rounds": rounds,
+           "lane_rounds": lane_rounds}
     if per_epoch:
         out["fields" + suffix] = rec[:, :, :k]
         out["bounds"] = bounds

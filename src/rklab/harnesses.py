@@ -156,6 +156,13 @@ class SweepConfig:
             raise InvariantError("sweeps need a chain with grid coordinates")
         if self.stop_kind not in ("zero", "absorb"):
             raise InvariantError(f"unknown sweep stop {self.stop_kind!r}")
+        # a stop that cannot fire would run every lane to the life budget
+        if self.stop_kind == "zero" and self.chain.zero_index is None:
+            raise InvariantError("sweep stop 'zero' needs the state 0 in the "
+                                 "space")
+        if self.stop_kind == "absorb" and not np.any(self.chain.absorb_rate):
+            raise InvariantError("sweep stop 'absorb' needs a chain that "
+                                 "absorbs at 0")
         if self.mu is None:
             raise InvariantError("sweeps need a rebirth measure (mu)")
         self.mu.validate(self.chain)

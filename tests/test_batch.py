@@ -336,9 +336,10 @@ def test_engine_absorb_property(case):
 def _cols_case(draw):
     absorbing = draw(st.booleans())
     chain, mu, start, r_max, seed = draw(_engine_case(absorbing=absorbing))
+    # an absorbing chain has no state 0 to stop at
     stop = draw(st.sampled_from(
-        ("death", "zero", "absorb", "horizon")
-        + (() if absorbing else ("left", "right"))))
+        ("death", "absorb", "horizon")
+        + (() if absorbing else ("zero", "left", "right"))))
     record = draw(st.sampled_from(("total", "epochs")))
     kw = {}
     if record == "epochs" or draw(st.booleans()):
@@ -405,11 +406,18 @@ def test_simulate_rejects_bad_cols(ref_chain, record, cols):
     dict(record="discount", p=1.0, cols=[0]),
     dict(stop="horizon", record="discount", horizon=1.0, cols=[0]),
     dict(stop="horizon", record="discount", horizon=1.0, p=1.0),
+    # no stop could end these runs: a chain without the state 0, and lives
+    # reborn without a limit
+    dict(stop="zero", chain=absorbed_path_chain()),
+    dict(rebirth=(np.array([2]), np.array([1.0]))),
 ], ids=["left-no-levels", "right-no-levels", "horizon-no-horizon",
-        "discount-no-horizon", "discount-no-p", "discount-no-cols"])
+        "discount-no-horizon", "discount-no-p", "discount-no-cols",
+        "zero-without-zero", "death-rebirth-no-r_max"])
 def test_simulate_rejects_incomplete_stop_arguments(ref_chain, kw):
+    kw = dict(kw)
+    chain = kw.pop("chain", ref_chain)
     with pytest.raises(ValueError):
-        simulate(make_kernel(ref_chain), np.zeros(16, dtype=np.int64),
+        simulate(make_kernel(chain), np.zeros(16, dtype=np.int64),
                  block_rng(1, 1, 0), **kw)
 
 
@@ -434,7 +442,8 @@ def test_outcome_draw_at_thresholds(chain):
     u = np.array(us)
     k = (u[:, None] >= kernel.out_cum[s]).sum(1)
     expected = kernel.out_next[s, k]
-    assert np.array_equal(batch._outcome(kernel, s, u), expected)
+    assert np.array_equal(kernel.next_flat[batch._outcome(kernel, s, u)],
+                          expected)
     assert (expected == ABSORB).any() == (chain.absorb_rate > 0).any()
 
 
@@ -724,3 +733,28 @@ def test_engine_stream_pinned(shape):
                    **kw)
     pinned = _STREAM_DIGESTS[name]
     assert {key: _digest(out[key]) for key in pinned} == pinned
+
+
+class _CountingRng:
+    """A generator that counts its standard exponentials and their calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls, self.exponentials = rng, 0, 0
+
+    def standard_exponential(self, size):
+        self.calls += 1
+        self.exponentials += size
+        return self.rng.standard_exponential(size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("shape", _stream_shapes(), ids=lambda c: c[0])
+def test_engine_counters(shape):
+    # one hold, so one standard exponential, per live lane per round
+    name, chain, starts, kw = shape
+    rng = _CountingRng(block_rng(20261018, 7, 0))
+    out = simulate(make_kernel(chain), starts, rng, **kw)
+    assert out["rounds"] == rng.calls > 0
+    assert out["lane_rounds"] == rng.exponentials >= len(starts)

@@ -312,6 +312,11 @@ NO_MU = (r"^mu:.*\n", "")
      "moment_orders must be a nonempty list of 1 and 2"),
     # a sweep needs its scales
     ("lil", (r"^  scales: .*$", "  scales: []"), "sweeps need a scales list"),
+    # and a stop that can fire
+    ("lil_absorbed", (r"^  stop: absorb$", "  stop: zero"),
+     "sweep stop 'zero' needs the state 0 in the space"),
+    ("lil", (r"^  stop: zero$", "  stop: absorb"),
+     "sweep stop 'absorb' needs a chain that absorbs at 0"),
     # two copies of a test point would share one recorded column
     ("normalization", (r"^  test_points: .*$", "  test_points: [-1, -1, 1]"),
      "test_points must be distinct states"),
@@ -322,6 +327,7 @@ NO_MU = (r"^mu:.*\n", "")
         "start-mapping", "test-point-list", "centre-list",
         "interval-one-number", "interval-strings", "interval-inf",
         "moment-orders-outside", "moment-orders-empty", "sweep-scales-empty",
+        "sweep-zero-without-zero", "sweep-absorb-without-absorption",
         "test-points-repeated"])
 def test_bad_shipped_config_exits_2(tmp_path, capsys, name, edit, message):
     text, count = re.subn(edit[0], edit[1], _shipped(name), flags=re.M)
