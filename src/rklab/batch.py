@@ -416,14 +416,14 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
             if per_epoch:
                 dead = e[tg < 0]
                 bounds_flat[at[dead] // width] = tt[dead]
-            ends = tg == halt_at
-            stopped[at[e[ends]] // stride] = True
+            leaving = tg == halt_at
+            stopped[at[e[leaving]] // stride] = True
             if rebirth is None:
                 gone = e
             else:
                 if counted:  # a lane whose r_max-th life died is abandoned
-                    ends |= live["ep"][e] >= r_max
-                gone, di = e[ends], e[~ends]
+                    leaving |= live["ep"][e] >= r_max
+                gone, di = e[leaving], e[~leaving]
                 if di.size:
                     nxt[di] = _draw_mu(rebirth[0], rebirth[1],
                                        rng.random(di.size))
