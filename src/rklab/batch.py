@@ -275,8 +275,12 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
                          "level stop")
     if (level_stop or stop == "zero") and kernel.zero is None:
         raise ValueError(f"stop {stop!r} needs the zero state in the space")
-    if stop == "death" and rebirth is not None and r_max is None:
-        raise ValueError("stop 'death' with rebirth needs r_max")
+    # reborn lives end these runs only at r_max: every death rebirths, and
+    # on a chain without absorption rates every death is a kill
+    if (stop == "death" or (stop == "absorb"
+                            and not np.any(kernel.chain.absorb_rate))) \
+            and rebirth is not None and r_max is None:
+        raise ValueError(f"stop {stop!r} with rebirth needs r_max")
     st = np.array(starts, dtype=np.int64)
     N = st.shape[0]
     n = kernel.n

@@ -311,21 +311,21 @@ def _blk_reduction_lhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
 
 def _blk_reduction_rhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
                        seed, tag, b):
-    # one stream per block: the early lives and the hitting life are drawn
-    # sequentially, hence independent
+    # one stream per block: first ``size`` hitting lives from mu, keeping
+    # the k that stop at 0, then k lives of each early part (from y, then
+    # r - 2 from mu), keeping those that do not stop.  Each part is its own
+    # sequential draw from the stream, so the parts are independent
     rng = block_rng(seed, tag, b)
-    parts = []
-    starts_y = np.full(size, start_idx, dtype=np.int64)
-    ep = simulate(kernel, starts_y, rng, stop="zero", cols=keep)
-    parts.append(ep["field_cols"][~ep["stopped"]])
-    for _ in range(r - 2):
-        starts_mu = _starts(("mu",) + mu_pack, size, rng)
-        ep = simulate(kernel, starts_mu, rng, stop="zero", cols=keep)
-        parts.append(ep["field_cols"][~ep["stopped"]])
-    starts_mu = _starts(("mu",) + mu_pack, size, rng)
-    ep = simulate(kernel, starts_mu, rng, stop="zero", cols=keep)
-    hit_fields = ep["field_cols"][ep["stopped"]]
-    m = min([p.shape[0] for p in parts] + [hit_fields.shape[0]])
+
+    def lives(spec, count, hit):
+        ep = simulate(kernel, _starts(spec, count, rng), rng, stop="zero",
+                      cols=keep)
+        return ep["field_cols"][ep["stopped"] == hit]
+
+    hit_fields = lives(("mu",) + mu_pack, size, True)
+    early = [("fixed", start_idx)] + [("mu",) + mu_pack] * (r - 2)
+    parts = [lives(spec, hit_fields.shape[0], False) for spec in early]
+    m = min(p.shape[0] for p in parts)  # each has at most k rows
     total = hit_fields[:m].copy()
     for p in parts:
         total += p[:m]
@@ -340,8 +340,11 @@ def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
 
     The trace side (conditioned on the stop epoch) is compared against sums
     of independently conditioned lives - the exact consequence of the
-    conditional factorisation.  Dropping the early lives (single-life rows)
-    is only exact in the vanishing-neighbourhood limit and is reported
+    conditional factorisation.  Each block draws its hitting lives first
+    and then, for the k of them that reach 0, k lives of each early part;
+    each part is its own sequential draw from the block's stream, so the
+    summed lives are independent.  Dropping the early lives (single-life
+    rows) is only exact in the vanishing-neighbourhood limit and is reported
     without gating.
     """
     chain = plan.chain

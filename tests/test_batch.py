@@ -344,7 +344,9 @@ def _cols_case(draw):
     kw = {}
     if record == "epochs" or draw(st.booleans()):
         kw["rebirth"] = mu_tables(chain, mu)
-        # without r_max a reborn lane ends only at a level or the horizon
+        # without r_max a reborn lane ends only at a level or the horizon;
+        # the engine refuses a reborn death stop without it, and a reborn
+        # absorb stop on a chain that never absorbs
         if record == "epochs" or stop in ("death", "zero", "absorb") \
                 or draw(st.booleans()):
             kw["r_max"] = r_max
@@ -407,12 +409,15 @@ def test_simulate_rejects_bad_cols(ref_chain, record, cols):
     dict(stop="horizon", record="discount", horizon=1.0, cols=[0]),
     dict(stop="horizon", record="discount", horizon=1.0, p=1.0),
     # no stop could end these runs: a chain without the state 0, and lives
-    # reborn without a limit
+    # reborn without a limit, to their deaths or on a chain that never
+    # absorbs (every death is a kill and is reborn)
     dict(stop="zero", chain=absorbed_path_chain()),
     dict(rebirth=(np.array([2]), np.array([1.0]))),
+    dict(stop="absorb", rebirth=(np.array([2]), np.array([1.0]))),
 ], ids=["left-no-levels", "right-no-levels", "horizon-no-horizon",
         "discount-no-horizon", "discount-no-p", "discount-no-cols",
-        "zero-without-zero", "death-rebirth-no-r_max"])
+        "zero-without-zero", "death-rebirth-no-r_max",
+        "absorb-never-absorbs"])
 def test_simulate_rejects_incomplete_stop_arguments(ref_chain, kw):
     kw = dict(kw)
     chain = kw.pop("chain", ref_chain)

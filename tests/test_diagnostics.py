@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from rklab.chains import RebirthMeasure, birth_death_chain
+from rklab import diagnostics
+from rklab.batch import make_kernel, mu_tables
+from rklab.chains import (
+    RebirthMeasure,
+    birth_death_chain,
+    hitting_profile,
+    killed_at_zero_potential,
+    potential_matrix,
+)
 from rklab.config import parse_config
 from rklab.diagnostics import (
     SweepConfig,
@@ -47,6 +55,60 @@ def test_reduction_whole_interval():
 def test_reduction_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         reduction_identity_test(_reduction_plan(), (0.03,))
+
+
+def _rhs_block(chain, y, mu, r, keep, seed, b, size=8192):
+    # singleton sups: column i of each returned row is the field at keep[i]
+    dpos = [np.array([i]) for i in range(len(keep))]
+    return diagnostics._blk_reduction_rhs(
+        make_kernel(chain), mu_tables(chain, RebirthMeasure(weights={mu: 1.0})),
+        chain.state_index(y), r, keep, dpos, size, seed, 9, b)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_reduction_rhs_matches_exact_kernels(r):
+    # the summed lives have mean field ut0(y, x) g(x) / g(y) for the life
+    # from y that never hits 0, (r - 2) ut0(mu, x) g(x) / g(mu) for the
+    # middle lives and ut0(mu, x) h(x) / h(mu) for the life that hits 0,
+    # with h the hitting profile, g = 1 - h and ut0 the kernel killed at 0
+    chain = reduction_chain()
+    y, mu = 16, 8
+    keep = np.array([chain.state_index(x) for x in (4, 8, 16, 32, 64)])
+    pot = potential_matrix(chain, 0.0)
+    ut0 = killed_at_zero_potential(pot).table
+    h = hitting_profile(pot).h
+    g = 1.0 - h
+    yi, mi = chain.state_index(y), chain.state_index(mu)
+    exact = (ut0[yi, keep] * g[keep] / g[yi]
+             + (r - 2) * ut0[mi, keep] * g[keep] / g[mi]
+             + ut0[mi, keep] * h[keep] / h[mi])
+    sups = np.concatenate([_rhs_block(chain, y, mu, r, keep, seed, b)["sups"]
+                           for seed in (1, 2) for b in range(3)])
+    z = (sups.mean(axis=0) - exact) \
+        / (sups.std(axis=0) / np.sqrt(sups.shape[0]))
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_reduction_rhs_draws_only_paired_lives(monkeypatch):
+    # the hitting lives are drawn first, and every early part with exactly
+    # as many lanes as hit 0: no early life is drawn that cannot pair
+    calls = []
+    simulate = diagnostics.simulate
+
+    def counted(kernel, starts, rng, **kw):
+        out = simulate(kernel, starts, rng, **kw)
+        calls.append((len(starts), int(out["stopped"].sum())))
+        return out
+
+    monkeypatch.setattr(diagnostics, "simulate", counted)
+    chain = reduction_chain()
+    keep = np.array([chain.state_index(x) for x in (8, 16, 32)])
+    out = _rhs_block(chain, 64, 16, 4, keep, 5, 0, size=2048)
+    (size, k), early = calls[0], calls[1:]
+    assert size == 2048 and 0 < k < size and len(early) == 3
+    assert all(lanes == k for lanes, _ in early)
+    m = min(lanes - stopped for lanes, stopped in early)
+    assert out["sups"].shape == out["single"].shape == (m, 3)
 
 
 def _sweep_cfg(n=64, rate=256.0, **kw):
