@@ -16,7 +16,8 @@ Stop policies (``stop``); a lane that stops has ``stopped`` set:
 * ``zero``    the lane stops the instant it jumps into 0 (which must be in
   the space), with no occupation there;
 * ``absorb``  the lane stops at its first absorption death (a jump into 0
-  from outside the space); other deaths rebirth or end the lane;
+  from outside the space); other deaths rebirth or end the lane (with
+  rebirth on a chain that never absorbs, ``r_max`` is required);
 * ``left``    the lane stops when its zero local time reaches its level
   (left inverse, ``>=``), splitting the hold at 0 exactly;
 * ``right``   the same with ``>`` (right inverse); exact ties between a
@@ -277,9 +278,9 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
         raise ValueError(f"stop {stop!r} needs the zero state in the space")
     # reborn lives end these runs only at r_max: every death rebirths, and
     # on a chain without absorption rates every death is a kill
-    if (stop == "death" or (stop == "absorb"
-                            and not np.any(kernel.chain.absorb_rate))) \
-            and rebirth is not None and r_max is None:
+    endless = stop == "death" or (stop == "absorb"
+                                  and not np.any(kernel.chain.absorb_rate))
+    if endless and rebirth is not None and r_max is None:
         raise ValueError(f"stop {stop!r} with rebirth needs r_max")
     st = np.array(starts, dtype=np.int64)
     N = st.shape[0]
