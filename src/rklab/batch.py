@@ -11,8 +11,8 @@ counts.
 
 Stop policies (``stop``); a lane that stops has ``stopped`` set:
 
-* ``death``   the lane runs until it dies (with rebirth, ``r_max`` is
-  required: only it ends the lane);
+* ``death``   the lane runs until it dies (the kernel must have a death
+  outcome; with rebirth, ``r_max`` is required: only it ends the lane);
 * ``zero``    the lane stops the instant it jumps into 0 (which must be in
   the space), with no occupation there;
 * ``absorb``  the lane stops at its first absorption death (a jump into 0
@@ -100,6 +100,11 @@ bit-identical to the plain 2-D reading of this draw order;
 ``tests/test_batch.py`` pins the digests of the outputs, so an engine
 change that moves a draw or a rounding fails there.
 
+A Doob-transformed kernel (:func:`doob_kernel`) is an ordinary
+:class:`Kernel` on the same chain with the same total rates and other
+outcome tables, so the engine runs lives conditioned to enter 0, or to die
+first, with no rejection and no case of its own.
+
 This is the only path engine.  Its oracles are exact laws: the mean field
 of a life is a row of its Green kernel G (``u0``, or the killed-at-0 kernel
 for a life stopped at 0), and Kac's moment formula
@@ -128,16 +133,18 @@ ABSORB = -2
 class Kernel:
     """Sampling tables: total event rates and the outcome tables.
 
-    Row s of ``out_cum``/``out_next`` lists the outcomes of a jump from s:
-    cumulative probabilities (the last real entry is 1.0, pads 2.0) and
-    targets (a state index, KILL or ABSORB).  The engine reads the flat
-    forms: ``cum_cols``, the first K - 1 threshold columns as contiguous
-    arrays (the last column is >= 1.0, which no uniform in [0, 1) reaches),
-    and ``next_flat``, the targets with outcome k of row s at s * K + k.
+    Row s of ``out_p``/``out_cum``/``out_next`` lists the outcomes of a jump
+    from s: probabilities (pads 0.0), cumulative probabilities (the last
+    real entry is 1.0, pads 2.0) and targets (a state index, KILL or
+    ABSORB).  The engine reads the flat forms: ``cum_cols``, the first
+    K - 1 threshold columns as contiguous arrays (the last column is >= 1.0,
+    which no uniform in [0, 1) reaches), and ``next_flat``, the targets with
+    outcome k of row s at s * K + k.
     """
 
     chain: SymmetricChain
     total_rate: np.ndarray
+    out_p: np.ndarray      # (n, K) outcome probabilities, pad 0.0
     out_cum: np.ndarray    # (n, K) cumulative outcome probabilities, pad 2.0
     out_next: np.ndarray   # (n, K) jump target, KILL or ABSORB
     cum_cols: tuple        # K - 1 contiguous (n,) threshold columns
@@ -157,29 +164,79 @@ class Kernel:
 
 
 def make_kernel(chain: SymmetricChain) -> Kernel:
-    n = chain.n_states
     Q = chain.generator
     total = -np.diag(Q) + chain.kill_rate
     rows = []
-    for i in range(n):
+    for i in range(chain.n_states):
         entries = [(Q[i, j], int(j)) for j in np.nonzero(Q[i] > 0)[0]]
         if chain.absorb_rate[i] > 0:
             entries.append((chain.absorb_rate[i], ABSORB))
         entries.append((chain.kill_rate, KILL))
+        rows.append([(r / total[i], j) for r, j in entries])
+    return _tables(chain, total, rows)
+
+
+def doob_kernel(kernel: Kernel, w, w_dead: float) -> Kernel:
+    """The kernel of ``kernel``'s lives Doob-transformed by the weight ``w``.
+
+    Outcome k of a row x with w(x) > 0 gets probability p_k w(t_k) / w(x),
+    where t_k is its target and a death weighs ``w_dead``; the outcome order
+    is kept and outcomes of probability 0 are dropped.  ``total_rate`` is
+    unchanged, so the holds keep their law.  With h the hitting profile,
+    w = h (h(0) = 1, ``w_dead`` 0) gives the life conditioned to enter 0
+    before it dies, and w = 1 - h (``w_dead`` 1) the life conditioned to die
+    first.  A row with w(x) > 0 that does not sum to 1 within 1e-12 means w
+    is not harmonic there: :class:`InvariantError`.
+
+    Such lives end on entering 0 (the ``zero`` stop), so at 0 itself w
+    weighs only entries and need not be harmonic: where it is not, the row
+    of 0 is divided by its weighted sum instead, the chance of the
+    conditioning event from 0.  Rows where w is 0 (no transformed life
+    reaches them) are kept as they are.
+    """
+    w = np.asarray(w, dtype=float)
+    rows = []
+    for i in range(kernel.n):
+        entries = [(p, int(j)) for p, j in
+                   zip(kernel.out_p[i], kernel.out_next[i]) if p > 0]
+        weighted = [(p * (w_dead if j < 0 else w[j]), j) for p, j in entries]
+        weighted = [(p, j) for p, j in weighted if p > 0]
+        norm = w[i]
+        if i == kernel.zero:
+            total = sum(p for p, _ in weighted)
+            if abs(total - norm) > 1e-12:
+                norm = total
+        if norm > 0:
+            entries = [(p / norm, j) for p, j in weighted]
+            total = sum(p for p, _ in entries)
+            if abs(total - 1.0) > 1e-12:
+                raise InvariantError(
+                    f"weight is not harmonic at state "
+                    f"{kernel.chain.states[i]!r}: its transformed row sums "
+                    f"to {total!r}")
         rows.append(entries)
+    return _tables(kernel.chain, kernel.total_rate, rows)
+
+
+def _tables(chain, total, rows):
+    """The :class:`Kernel` whose row s lists the (probability, target)
+    outcomes ``rows[s]``."""
+    n = chain.n_states
     K = max(len(e) for e in rows)
+    prob = np.zeros((n, K))
     cum = np.full((n, K), 2.0)
     nxt = np.full((n, K), KILL, dtype=np.int64)
     for i, entries in enumerate(rows):
         acc = 0.0
-        for k, (r, j) in enumerate(entries):
-            acc += r / total[i]
+        for k, (p, j) in enumerate(entries):
+            acc += p
+            prob[i, k] = p
             cum[i, k] = acc
             nxt[i, k] = j
         cum[i, len(entries) - 1] = 1.0  # guard against cumsum roundoff
     cols = tuple(np.ascontiguousarray(cum[:, k]) for k in range(K - 1))
-    return Kernel(chain=chain, total_rate=total, out_cum=cum, out_next=nxt,
-                  cum_cols=cols, next_flat=nxt.ravel())
+    return Kernel(chain=chain, total_rate=total, out_p=prob, out_cum=cum,
+                  out_next=nxt, cum_cols=cols, next_flat=nxt.ravel())
 
 
 def mu_tables(chain: SymmetricChain, mu: RebirthMeasure):
@@ -276,6 +333,9 @@ def simulate(kernel: Kernel, starts, rng, stop="death", record="total", *,
                          "level stop")
     if (level_stop or stop == "zero") and kernel.zero is None:
         raise ValueError(f"stop {stop!r} needs the zero state in the space")
+    if stop == "death" and not np.any((kernel.out_p > 0)
+                                      & (kernel.out_next < 0)):
+        raise ValueError("stop 'death' needs a kernel with a death outcome")
     # reborn lives end these runs only at r_max: every death rebirths, and
     # on a chain without absorption rates every death is a kill
     endless = stop == "death" or (stop == "absorb"

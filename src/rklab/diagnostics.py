@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import block_rng, make_kernel, mu_tables, simulate
-from .chains import potential_matrix
+from .batch import block_rng, doob_kernel, make_kernel, mu_tables, simulate
+from .chains import hitting_profile, potential_matrix
 from .errors import (
     ConditioningTooRare,
     EpochBudgetExceeded,
@@ -309,43 +309,64 @@ def _blk_reduction_lhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
     return {"sups": sups, "viol_851": viol}
 
 
-def _blk_reduction_rhs(kernel, mu_pack, start_idx, r, keep, dpos, size,
-                       seed, tag, b):
-    # one stream per block: first ``size`` hitting lives from mu, keeping
-    # the k that stop at 0, then k lives of each early part (from y, then
-    # r - 2 from mu), keeping those that do not stop.  Each part is its own
-    # sequential draw from the stream, so the parts are independent
+def _tilted_pack(mu_vec, w):
+    """(state indices, cumulative weights) of the start law
+    mu(x) w(x) / <mu, w>, for inverse-cdf draws."""
+    weights = mu_vec * w
+    idx = np.flatnonzero(weights > 0)
+    cum = np.cumsum(weights[idx]) / weights[idx].sum()
+    cum[-1] = 1.0
+    return idx, cum
+
+
+def _conditioned_lives(kernel, mu_vec):
+    """The hitting profile h, and for the lives conditioned to enter 0
+    (weight h) and to die first (weight g = 1 - h) the pair (Doob kernel,
+    mu's start law tilted by the weight)."""
+    h = hitting_profile(potential_matrix(kernel.chain, 0.0)).h
+    return h, [(doob_kernel(kernel, w, w_dead), _tilted_pack(mu_vec, w))
+               for w, w_dead in ((h, 0.0), (1.0 - h, 1.0))]
+
+
+def _blk_reduction_rhs(hit, die, start_idx, r, keep, dpos, size, seed, tag,
+                       b):
+    # one stream per block, drawn in this order: ``size`` lives from mu
+    # conditioned to enter 0, ``size`` lives from y conditioned to die
+    # first, then for r > 2 r - 2 times ``size`` lives from mu conditioned
+    # to die first; ``hit`` and ``die`` are the (Doob kernel, tilted start
+    # law) pairs of _conditioned_lives.  Each part is its own sequential
+    # draw from the stream, so the summed lives are independent, and every
+    # life is kept
     rng = block_rng(seed, tag, b)
 
-    def lives(spec, count, hit):
-        ep = simulate(kernel, _starts(spec, count, rng), rng, stop="zero",
-                      cols=keep)
-        return ep["field_cols"][ep["stopped"] == hit]
+    def lives(kernel, spec):
+        return simulate(kernel, _starts(spec, size, rng), rng, stop="zero",
+                        cols=keep)["field_cols"]
 
-    hit_fields = lives(("mu",) + mu_pack, size, True)
-    early = [("fixed", start_idx)] + [("mu",) + mu_pack] * (r - 2)
-    parts = [lives(spec, hit_fields.shape[0], False) for spec in early]
-    m = min(p.shape[0] for p in parts)  # each has at most k rows
-    total = hit_fields[:m].copy()
-    for p in parts:
-        total += p[:m]
+    hit_fields = lives(hit[0], ("mu",) + hit[1])
+    total = hit_fields + lives(die[0], ("fixed", start_idx))
+    for _ in range(r - 2):
+        total += lives(die[0], ("mu",) + die[1])
     sups = np.stack([total[:, c].max(axis=1) for c in dpos], axis=1)
-    single = np.stack([hit_fields[:m, :][:, c].max(axis=1) for c in dpos],
-                      axis=1)
+    single = np.stack([hit_fields[:, c].max(axis=1) for c in dpos], axis=1)
     return {"sups": sups, "single": single}
 
 
 def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
     """Gating comparison of sup functionals near 0.
 
-    The trace side (conditioned on the stop epoch) is compared against sums
-    of independently conditioned lives - the exact consequence of the
-    conditional factorisation.  Each block draws its hitting lives first
-    and then, for the k of them that reach 0, k lives of each early part;
-    each part is its own sequential draw from the block's stream, so the
-    summed lives are independent.  Dropping the early lives (single-life
-    rows) is only exact in the vanishing-neighbourhood limit and is reported
-    without gating.
+    The trace side (conditioned on the stop epoch, by rejection: it is the
+    object under test) is compared against sums of independently
+    conditioned lives - the exact consequence of the conditional
+    factorisation.  That side draws exactly as many sums as traces were
+    kept, with no rejection: each life is run on its Doob-transformed
+    kernel (:func:`doob_kernel`), by the hitting profile h for the life
+    from mu that enters 0 and by g = 1 - h for the early lives, which die
+    first, from mu's start law tilted by the same weight.  The kept
+    fraction is gated against its exact value g(y) <mu, g>^(r-2) <mu, h>,
+    which checks the rebirthed engine against the exact kernels.  Dropping
+    the early lives (single-life rows) is only exact in the
+    vanishing-neighbourhood limit and is reported without gating.
     """
     chain = plan.chain
     if not chain.zero_accessible:
@@ -365,15 +386,19 @@ def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
     mu_pack = mu_tables(chain, plan.mu)
     y = chain.state_index(plan.start)
 
-    args = (kernel, mu_pack, y, plan.r, keep, dpos)
-    lhs = _ensemble(plan, "reduction", 1, _blk_reduction_lhs, *args)
-    rhs = _ensemble(plan, "reduction", 2, _blk_reduction_rhs, *args)
-    lhs_sups, rhs_sups, single_sups = lhs["sups"], rhs["sups"], rhs["single"]
+    lhs = _ensemble(plan, "reduction", 1, _blk_reduction_lhs, kernel,
+                    mu_pack, y, plan.r, keep, dpos)
+    lhs_sups = lhs["sups"]
     n_kept = lhs_sups.shape[0]
-    if n_kept < MIN_CONDITIONED or rhs_sups.shape[0] < MIN_CONDITIONED:
+    if n_kept < MIN_CONDITIONED:
         raise ConditioningTooRare(
-            f"conditioned counts {n_kept}/{rhs_sups.shape[0]} below floor"
-        )
+            f"only {n_kept} of {plan.replicates} traces stop in life "
+            f"{plan.r}, below the floor {MIN_CONDITIONED}")
+    mu_vec = plan.mu.vector(chain)
+    h, (hit, die) = _conditioned_lives(kernel, mu_vec)
+    rhs = _ensemble(plan, "reduction", 2, _blk_reduction_rhs, hit, die, y,
+                    plan.r, keep, dpos, lanes=n_kept)
+    rhs_sups, single_sups = rhs["sups"], rhs["single"]
     viol = lhs["viol_851"]
 
     if plan.defect == "single-life":
@@ -394,11 +419,18 @@ def reduction_identity_test(plan: TestPlan, deltas) -> ComparisonReport:
                      row.se, row.z, gating=False) for row in single_rows]
     rows.append(StatRow("early_life_support_violations", float(viol), 0.0,
                         0.0, zscore(float(viol), 0.0)))
+    # P(stop in life r) = P_y(die first) P_mu(die first)^(r-2) P_mu(enter 0)
+    g = 1.0 - h
+    kept = n_kept / plan.replicates
+    exact = float(g[y] * (mu_vec @ g) ** (plan.r - 2) * (mu_vec @ h))
+    se = float(np.sqrt(exact * (1.0 - exact) / plan.replicates))
+    rows.append(StatRow("exact:kept_fraction", kept, exact, se,
+                        zscore(kept - exact, se)))
     return ComparisonReport(
         test_id="reduction", rows=rows, seed=plan.seed,
         n_lhs=n_kept, n_rhs=rhs_sups.shape[0], z_max=plan.z_max,
         metadata={
             "deltas": list(deltas), "r": plan.r, "defect": plan.defect,
-            "conditioned_fraction": n_kept / plan.replicates,
+            "conditioned_fraction": kept,
         },
     )

@@ -204,14 +204,15 @@ def _blk_gauss(s, lives, tail, size, seed, tag, b):
     return {"field": field, "weight": weight}
 
 
-def _ensemble(plan, harness, role, fn, *args):
-    """Run one ensemble of plan.replicates lanes block by block through
-    ``fn(*args, size, seed, tag, b)``; counts add up over the blocks and
-    arrays are concatenated."""
+def _ensemble(plan, harness, role, fn, *args, lanes=None):
+    """Run one ensemble of ``lanes`` lanes (plan.replicates by default)
+    block by block through ``fn(*args, size, seed, tag, b)``; counts add up
+    over the blocks and arrays are concatenated."""
     tag = tag_for(harness, role)
+    lanes = plan.replicates if lanes is None else lanes
     results = map_blocks(
         [(fn, args + (size, plan.seed, tag, b))
-         for b, size in enumerate(block_plan(plan.replicates))],
+         for b, size in enumerate(block_plan(lanes))],
         plan.workers)
     merged = {}
     for key in results[0]:

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from rklab.chains import ChainSpec, build_chain
+from rklab.chains import ChainSpec, birth_death_chain, build_chain
 
 
 @st.composite
@@ -32,3 +32,15 @@ def path_chains(draw, absorbing=False):
         states=states, rates=rates, measure={x: m[x] for x in states},
         kill_rate=kill_rate, zero_accessible=False,
     ))
+
+
+@st.composite
+def birth_death_chains(draw, absorbing=None):
+    """A birth-death grid surrogate; with ``absorbing`` None, 0 is drawn to
+    be in the space or absorbing into it."""
+    if absorbing is None:
+        absorbing = draw(st.booleans())
+    return birth_death_chain(draw(st.integers(2, 12)),
+                             draw(st.floats(0.5, 50.0)),
+                             kill_rate=draw(st.floats(0.1, 5.0)),
+                             absorb_at_zero=absorbing)

@@ -13,6 +13,7 @@ from rklab.batch import (
     ABSORB,
     block_plan,
     block_rng,
+    doob_kernel,
     make_kernel,
     mu_tables,
     simulate,
@@ -25,8 +26,9 @@ from rklab.chains import (
     potential_matrix,
     rebirthed_potential,
 )
+from rklab.errors import InvariantError
 from plans import absorbed_path_chain, reference_chain
-from strategies import path_chains
+from strategies import birth_death_chains, path_chains
 
 
 def test_block_plan():
@@ -414,16 +416,81 @@ def test_simulate_rejects_bad_cols(ref_chain, record, cols):
     dict(stop="zero", chain=absorbed_path_chain()),
     dict(rebirth=(np.array([2]), np.array([1.0]))),
     dict(stop="absorb", rebirth=(np.array([2]), np.array([1.0]))),
+    # a life conditioned to enter 0 never dies
+    dict(stop="death", kernel=lambda chain: _conditioned(chain)[1]),
 ], ids=["left-no-levels", "right-no-levels", "horizon-no-horizon",
         "discount-no-horizon", "discount-no-p", "discount-no-cols",
         "zero-without-zero", "death-rebirth-no-r_max",
-        "absorb-never-absorbs"])
+        "absorb-never-absorbs", "death-without-deaths"])
 def test_simulate_rejects_incomplete_stop_arguments(ref_chain, kw):
     kw = dict(kw)
     chain = kw.pop("chain", ref_chain)
+    kernel = kw.pop("kernel", make_kernel)(chain)
     with pytest.raises(ValueError):
-        simulate(make_kernel(chain), np.zeros(16, dtype=np.int64),
-                 block_rng(1, 1, 0), **kw)
+        simulate(kernel, np.zeros(16, dtype=np.int64), block_rng(1, 1, 0),
+                 **kw)
+
+
+# Doob-transformed kernels -----------------------------------------------------
+
+def _conditioned(chain):
+    """The hitting profile h and the Doob kernels of the lives conditioned
+    to enter 0 (weight h) and to die first (weight 1 - h)."""
+    kernel = make_kernel(chain)
+    h = hitting_profile(potential_matrix(chain, 0.0)).h
+    return h, doob_kernel(kernel, h, 0.0), doob_kernel(kernel, 1.0 - h, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(path_chains(), path_chains(absorbing=True),
+                 birth_death_chains()))
+def test_doob_kernel_of_unit_weight_is_the_kernel(chain):
+    kernel = make_kernel(chain)
+    same = doob_kernel(kernel, np.ones(kernel.n), 1.0)
+    for name in ("total_rate", "out_p", "out_cum", "out_next", "next_flat"):
+        assert _bits(getattr(same, name)) == _bits(getattr(kernel, name)), name
+    assert [_bits(c) for c in same.cum_cols] \
+        == [_bits(c) for c in kernel.cum_cols]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(path_chains(), birth_death_chains(absorbing=False)))
+def test_doob_kernel_keeps_rates_and_outcome_order(chain):
+    # each row of the lives conditioned to enter 0 and to die first lists
+    # the original row's outcomes of positive weight, in the same order and
+    # with probabilities p w(target) / w(x) that sum to 1
+    # (at 0, where h is not harmonic, divided by the row's weighted sum)
+    h, hit, die = _conditioned(chain)
+    kernel = make_kernel(chain)
+    for w, w_dead, doob in ((h, 0.0, hit), (1.0 - h, 1.0, die)):
+        assert _bits(doob.total_rate) == _bits(kernel.total_rate)
+        for s in range(kernel.n):
+            real = kernel.out_p[s] > 0
+            want = [(p * (w_dead if j < 0 else w[j]), j) for p, j
+                    in zip(kernel.out_p[s, real], kernel.out_next[s, real])]
+            want = [(p, j) for p, j in want if p > 0]
+            norm = sum(p for p, _ in want) if s == kernel.zero else w[s]
+            got = doob.out_p[s] > 0
+            assert doob.out_next[s, got].tolist() == [j for _, j in want]
+            assert np.allclose(doob.out_p[s, got], [p / norm for p, _ in want],
+                               rtol=1e-15, atol=0.0)
+            assert abs(doob.out_p[s].sum() - 1.0) <= 1e-12
+            assert doob.out_cum[s, got][-1] == 1.0
+    # the first never dies, the second never enters 0
+    assert not np.any((hit.out_p > 0) & (hit.out_next < 0))
+    assert not np.any((die.out_p > 0) & (die.out_next == kernel.zero))
+
+
+@pytest.mark.parametrize("weights", [
+    lambda h: (np.ones_like(h), 0.0),
+    lambda h: (h, 1.0),
+    lambda h: (np.where(np.arange(h.size) == 2, 1.01 * h, h), 0.0),
+], ids=["unit-weight-no-deaths", "hits-with-deaths", "one-state-scaled"])
+def test_doob_kernel_rejects_weights_that_are_not_harmonic(weights):
+    chain = birth_death_chain(8, 4.0)
+    h = hitting_profile(potential_matrix(chain, 0.0)).h
+    with pytest.raises(InvariantError, match="not harmonic"):
+        doob_kernel(make_kernel(chain), *weights(h))
 
 
 # outcome draws at the thresholds ----------------------------------------------

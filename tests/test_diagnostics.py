@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rklab import diagnostics
-from rklab.batch import make_kernel, mu_tables
+from rklab.batch import make_kernel
 from rklab.chains import (
     RebirthMeasure,
     birth_death_chain,
@@ -21,7 +21,12 @@ from rklab.diagnostics import (
     reduction_identity_test,
     uniform_modulus_sweep,
 )
-from rklab.errors import GridTooCoarse, InvariantError, SchemaError
+from rklab.errors import (
+    ConditioningTooRare,
+    GridTooCoarse,
+    InvariantError,
+    SchemaError,
+)
 from rklab.harnesses import TestPlan
 from plans import reduction_chain
 
@@ -60,28 +65,33 @@ def test_reduction_grid_too_coarse():
 def _rhs_block(chain, y, mu, r, keep, seed, b, size=8192):
     # singleton sups: column i of each returned row is the field at keep[i]
     dpos = [np.array([i]) for i in range(len(keep))]
-    return diagnostics._blk_reduction_rhs(
-        make_kernel(chain), mu_tables(chain, RebirthMeasure(weights={mu: 1.0})),
-        chain.state_index(y), r, keep, dpos, size, seed, 9, b)
+    _, (hit, die) = diagnostics._conditioned_lives(
+        make_kernel(chain), RebirthMeasure(weights=mu).vector(chain))
+    return diagnostics._blk_reduction_rhs(hit, die, chain.state_index(y), r,
+                                          keep, dpos, size, seed, 9, b)
 
 
-@pytest.mark.parametrize("r", [2, 3])
-def test_reduction_rhs_matches_exact_kernels(r):
+@pytest.mark.parametrize("r,mu", [(2, {8: 1.0}), (3, {8: 1.0}),
+                                  (3, {8: 0.5, 24: 0.5})],
+                         ids=["2", "3", "3-two-atoms"])
+def test_reduction_rhs_matches_exact_kernels(r, mu):
     # the summed lives have mean field ut0(y, x) g(x) / g(y) for the life
-    # from y that never hits 0, (r - 2) ut0(mu, x) g(x) / g(mu) for the
-    # middle lives and ut0(mu, x) h(x) / h(mu) for the life that hits 0,
-    # with h the hitting profile, g = 1 - h and ut0 the kernel killed at 0
+    # from y that never hits 0, (r - 2) <mu, ut0(., x)> g(x) / <mu, g> for
+    # the middle lives and <mu, ut0(., x)> h(x) / <mu, h> for the life that
+    # hits 0, with h the hitting profile, g = 1 - h and ut0 the kernel
+    # killed at 0; with two atoms the starts follow mu tilted by g or h
     chain = reduction_chain()
-    y, mu = 16, 8
+    y = 16
     keep = np.array([chain.state_index(x) for x in (4, 8, 16, 32, 64)])
     pot = potential_matrix(chain, 0.0)
     ut0 = killed_at_zero_potential(pot).table
     h = hitting_profile(pot).h
     g = 1.0 - h
-    yi, mi = chain.state_index(y), chain.state_index(mu)
+    yi = chain.state_index(y)
+    m = RebirthMeasure(weights=mu).vector(chain)
     exact = (ut0[yi, keep] * g[keep] / g[yi]
-             + (r - 2) * ut0[mi, keep] * g[keep] / g[mi]
-             + ut0[mi, keep] * h[keep] / h[mi])
+             + (r - 2) * (m @ ut0[:, keep]) * g[keep] / (m @ g)
+             + (m @ ut0[:, keep]) * h[keep] / (m @ h))
     sups = np.concatenate([_rhs_block(chain, y, mu, r, keep, seed, b)["sups"]
                            for seed in (1, 2) for b in range(3)])
     z = (sups.mean(axis=0) - exact) \
@@ -89,26 +99,65 @@ def test_reduction_rhs_matches_exact_kernels(r):
     assert np.all(np.abs(z) <= 4.0), z
 
 
-def test_reduction_rhs_draws_only_paired_lives(monkeypatch):
-    # the hitting lives are drawn first, and every early part with exactly
-    # as many lanes as hit 0: no early life is drawn that cannot pair
+def _counting_simulate(monkeypatch):
+    """Replace the engine of the reduction by one that records, per call,
+    the record kind, the lanes and how many of them stopped."""
     calls = []
     simulate = diagnostics.simulate
 
     def counted(kernel, starts, rng, **kw):
         out = simulate(kernel, starts, rng, **kw)
-        calls.append((len(starts), int(out["stopped"].sum())))
+        calls.append((kw.get("record", "total"), len(starts),
+                      int(out["stopped"].sum())))
         return out
 
     monkeypatch.setattr(diagnostics, "simulate", counted)
-    chain = reduction_chain()
-    keep = np.array([chain.state_index(x) for x in (8, 16, 32)])
-    out = _rhs_block(chain, 64, 16, 4, keep, 5, 0, size=2048)
-    (size, k), early = calls[0], calls[1:]
-    assert size == 2048 and 0 < k < size and len(early) == 3
-    assert all(lanes == k for lanes, _ in early)
-    m = min(lanes - stopped for lanes, stopped in early)
-    assert out["sups"].shape == out["single"].shape == (m, 3)
+    return calls
+
+
+def test_reduction_rhs_draws_exactly_the_kept_pairs(monkeypatch):
+    # one sum of lives per kept trace, none rejected: per block a part of
+    # lives that all enter 0, then the early parts (from y, then from mu),
+    # of the same size, none of whose lives enters 0
+    calls = _counting_simulate(monkeypatch)
+    rep = reduction_identity_test(
+        _reduction_plan(replicates=10_000, seed=303, r=3,
+                        mu=RebirthMeasure(weights={16: 1.0})), (0.25,))
+    rhs = [(lanes, stopped) for record, lanes, stopped in calls
+           if record == "total"]  # the left side records per life
+    assert len(rhs) == 3  # 2000-odd pairs fill one block
+    (lanes, hit), early = rhs[0], rhs[1:]
+    assert lanes == hit == rep.n_lhs == rep.n_rhs
+    assert early == [(lanes, 0)] * 2
+
+
+def test_reduction_too_rare_draws_no_right_side(monkeypatch):
+    # the shipped plan keeps 762 of 1e4 traces, below MIN_CONDITIONED: the
+    # plan is refused after the left side, before any right-side life
+    calls = _counting_simulate(monkeypatch)
+    plan = _reduction_plan(replicates=10_000, seed=20260810,
+                           mu=RebirthMeasure(weights={32: 1.0}))
+    with pytest.raises(ConditioningTooRare, match="only 762 of 10000"):
+        reduction_identity_test(plan, (0.5,))
+    assert [record for record, _, _ in calls] == ["epochs", "epochs"]
+
+
+def test_reduction_kept_fraction_sees_a_wrong_rebirth_site(monkeypatch):
+    # the kept fraction is gated against g(y) <mu, h> from the exact
+    # kernels: traces reborn at 8 instead of the plan's 16 fail there
+    plan = _reduction_plan(replicates=10_000, seed=304,
+                           mu=RebirthMeasure(weights={16: 1.0}))
+
+    def kept(rep):
+        return [r for r in rep.rows if r.statistic == "exact:kept_fraction"]
+
+    (row,) = kept(reduction_identity_test(plan, (0.25,)))
+    assert row.gating and abs(row.z) <= plan.z_max
+    monkeypatch.setattr(diagnostics, "mu_tables", lambda chain, mu: (
+        np.array([chain.state_index(8)]), np.array([1.0])))
+    rep = reduction_identity_test(plan, (0.25,))
+    (row,) = kept(rep)
+    assert not rep.verdict and row.z > 8.0, row.z
 
 
 def _sweep_cfg(n=64, rate=256.0, **kw):

@@ -365,7 +365,7 @@ def _lil_config():
 @pytest.mark.parametrize("name,plan,digest", [
     ("normalization", lambda: ref_plan(20260810, 1, replicates=10_000),
      "a86e9531a46507e0"),
-    ("reduction", _reduction_plan, "504a89147f6d7ce3"),
+    ("reduction", _reduction_plan, "35ce9565b92a72a8"),
     ("lil", _lil_config, "15ad091d246df47c"),
 ], ids=["normalization", "reduction", "lil"])
 def test_reports_pinned(name, plan, digest):
